@@ -22,7 +22,6 @@
 #include <type_traits>
 
 #include "common/logging.h"
-#include "common/striped_mutex.h"
 #include "common/zeroed_buffer.h"
 
 namespace gpulp {
@@ -95,9 +94,6 @@ class GlobalMemory
     /** Install (or clear, with nullptr) the store/load observer. */
     void setObserver(MemObserver *observer) { observer_ = observer; }
 
-    /** Currently installed observer, or nullptr. */
-    MemObserver *observer() const { return observer_; }
-
     /**
      * Typed load of a trivially copyable T at @p addr.
      *
@@ -157,13 +153,6 @@ class GlobalMemory
         if (observer_)
             observer_->onStore(addr, sizeof(T));
     }
-
-    /**
-     * Mutex serializing functional read-modify-writes on @p addr's
-     * stripe. ThreadCtx atomics hold this across their load+store pair
-     * so concurrent blocks cannot interleave inside one RMW.
-     */
-    std::mutex &rmwMutex(Addr addr) { return rmw_locks_.forKey(addr >> 2); }
 
     /**
      * Copy @p len bytes at @p addr out of the arena with relaxed
@@ -240,7 +229,6 @@ class GlobalMemory
     ZeroedBuffer data_;
     size_t next_;
     MemObserver *observer_ = nullptr;
-    mutable StripedMutex<64> rmw_locks_;
 };
 
 /**

@@ -26,10 +26,7 @@ void
 MemTiming::reset()
 {
     stats_ = MemTrafficStats{};
-    for (BusyShard &shard : shards_) {
-        std::lock_guard<std::mutex> lk(shard.mu);
-        shard.busy.clear();
-    }
+    busy_.clear();
     trace_.clear();
 }
 
@@ -53,9 +50,7 @@ Cycles
 MemTiming::claimSlot(Addr word, Cycles now)
 {
     ++stats_.global_atomics;
-    BusyShard &shard = shards_[shardOf(word)];
-    std::lock_guard<std::mutex> lk(shard.mu);
-    Cycles &busy = shard.busy[word];
+    Cycles &busy = busy_[word];
     Cycles start = now;
     if (busy > now) {
         ++stats_.atomic_conflicts;
@@ -69,20 +64,16 @@ MemTiming::claimSlot(Addr word, Cycles now)
 void
 MemTiming::raiseBusy(Addr word, Cycles until)
 {
-    BusyShard &shard = shards_[shardOf(word)];
-    std::lock_guard<std::mutex> lk(shard.mu);
-    Cycles &busy = shard.busy[word];
+    Cycles &busy = busy_[word];
     if (until > busy)
         busy = until;
 }
 
 Cycles
-MemTiming::busyHorizon(Addr word)
+MemTiming::busyHorizon(Addr word) const
 {
-    BusyShard &shard = shards_[shardOf(word)];
-    std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.busy.find(word);
-    return it == shard.busy.end() ? 0 : it->second;
+    auto it = busy_.find(word);
+    return it == busy_.end() ? 0 : it->second;
 }
 
 Cycles
@@ -104,8 +95,7 @@ MemTiming::onAtomic(Addr addr, Cycles now, uint32_t tid)
 {
     Addr word = wordOf(addr);
     Cycles slot = claimSlot(word, now);
-    if (tracing_)
-        trace_.push_back({TraceEvent::Kind::Atomic, tid, word, now, slot, 0});
+    trace_.push_back({TraceEvent::Kind::Atomic, tid, word, now, slot, 0});
     return slot + params_.atomic_roundtrip_cycles;
 }
 
@@ -117,9 +107,8 @@ MemTiming::onLockAcquire(Addr addr, Cycles now, uint32_t tid)
     Cycles done = lockDoneFromSlot(slot, now);
     // Nobody else can take the lock while the handoff is in flight.
     raiseBusy(word, done);
-    if (tracing_)
-        trace_.push_back(
-            {TraceEvent::Kind::LockAcquire, tid, word, now, slot, done});
+    trace_.push_back(
+        {TraceEvent::Kind::LockAcquire, tid, word, now, slot, done});
     return done;
 }
 
@@ -128,8 +117,7 @@ MemTiming::holdAddressUntil(Addr addr, Cycles until, uint32_t tid)
 {
     Addr word = wordOf(addr);
     raiseBusy(word, until);
-    if (tracing_)
-        trace_.push_back({TraceEvent::Kind::Hold, tid, word, 0, 0, until});
+    trace_.push_back({TraceEvent::Kind::Hold, tid, word, 0, 0, until});
 }
 
 Cycles

@@ -22,9 +22,7 @@
 #ifndef GPULP_MEM_TIMING_H
 #define GPULP_MEM_TIMING_H
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -141,13 +139,11 @@ struct TraceEvent {
  * Kernel-scoped timing state: traffic counters plus the per-address
  * serialization table used by atomics and locks.
  *
- * Concurrency contract: the busy table is sharded behind striped locks
- * so per-address lookups from different addresses do not contend, but
- * the traffic counters are plain — each MemTiming instance must have a
- * single writer thread. The parallel engine follows this by giving
- * every worker its own block-local MemTiming (tracing enabled) and
- * reserving the launch-global instance for the sequential rank-order
- * replay on the launching thread.
+ * Concurrency contract: none. A MemTiming is single-owner — nothing in
+ * it is synchronized, so only one thread may use an instance at a
+ * time. The parallel engine follows this by giving every worker its
+ * own block-local MemTiming and reserving the launch-global instance
+ * for the sequential rank-order replay on the committing thread.
  */
 class MemTiming
 {
@@ -219,13 +215,11 @@ class MemTiming
     // Parallel-engine support -----------------------------------------------
 
     /**
-     * Start recording TraceEvents for every serialization operation.
-     * Used on block-local instances so the launch-global table can be
-     * updated later, in deterministic rank order.
+     * Move out the TraceEvents recorded since the last reset(): one per
+     * atomic, lock acquire and hold, so a block-local instance's
+     * serialization can be replayed into the launch-global table in
+     * rank order.
      */
-    void setTracing(bool on) { tracing_ = on; }
-
-    /** Move out the trace recorded since the last reset(). */
     std::vector<TraceEvent> takeTrace() { return std::move(trace_); }
 
     /** Fold another instance's traffic counters into this one. */
@@ -268,30 +262,14 @@ class MemTiming
     void raiseBusy(Addr word, Cycles until);
 
     /** Current busy horizon of @p word (0 when never touched). */
-    Cycles busyHorizon(Addr word);
+    Cycles busyHorizon(Addr word) const;
 
     /** Lock convoy model shared by onLockAcquire and the replay. */
     Cycles lockDoneFromSlot(Cycles slot, Cycles issue) const;
 
-    static constexpr size_t kBusyShards = 16;
-
-    static size_t
-    shardOf(Addr word)
-    {
-        // Fibonacci hash: adjacent words land on different shards.
-        return static_cast<size_t>((word * 0x9e3779b97f4a7c15ull) >> 32) &
-               (kBusyShards - 1);
-    }
-
-    struct alignas(64) BusyShard {
-        std::mutex mu;
-        std::unordered_map<Addr, Cycles> busy;
-    };
-
     TimingParams params_;
     MemTrafficStats stats_;
-    std::array<BusyShard, kBusyShards> shards_;
-    bool tracing_ = false;
+    std::unordered_map<Addr, Cycles> busy_; //!< per-word busy horizon
     std::vector<TraceEvent> trace_;
 };
 

@@ -65,13 +65,13 @@ Device::resolveWorkers() const
 void
 Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
                       const KernelFn &kernel, WorkerState &ws,
-                      RankGate *gate, BlockOutcome &out)
+                      RankGate &gate, BlockOutcome &out)
 {
     ws.timing.reset();
     obs::add(obs::Ctr::SimBlocks);
     obs::TraceSpan block_span("block", "sim", rank, "rank");
     Dim3 block_idx = cfg.blockIdxOf(rank);
-    BlockState state(mem_, ws.timing, nvm_, block_idx, cfg, /*start=*/0,
+    BlockState state(mem_, ws.timing, nvm_, block_idx, cfg,
                      params_.shared_bytes, gate, rank, &ordered_regions_);
     const uint32_t n = state.numThreads();
 
@@ -125,8 +125,8 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
     while (state.liveThreads() > 0) {
         uint32_t t = state.popReady(last);
         if (t == BlockState::kNoThread) {
-            if (gate != nullptr && state.gateParkedThreads() > 0) {
-                gate->awaitLeader(rank, [this] {
+            if (state.gateParkedThreads() > 0) {
+                gate.awaitLeader(rank, [this] {
                     return nvm_ != nullptr && nvm_->crashPending();
                 });
                 state.wakeGateParked();
@@ -196,12 +196,11 @@ Device::launch(const LaunchConfig &cfg, const KernelFn &kernel)
         std::min<uint64_t>(resolveWorkers(), num_blocks));
 
     while (worker_states_.size() < workers) {
-        worker_states_.push_back(std::make_unique<WorkerState>(
-            params_.timing, params_.fiber_stack_bytes));
+        worker_states_.push_back(
+            std::make_unique<WorkerState>(params_.timing));
     }
 
     RankGate gate(num_blocks, workers);
-    RankGate *gate_ptr = params_.strict_atomic_order ? &gate : nullptr;
 
     // Gate waits are purely event-driven now, so the NVM crash latch
     // must wake gate-parked workers itself; route it at the gate for
@@ -221,7 +220,7 @@ Device::launch(const LaunchConfig &cfg, const KernelFn &kernel)
             if (nvm_ && nvm_->crashPending())
                 break;
             BlockOutcome out;
-            runBlockLocal(cfg, rank, kernel, ws, gate_ptr, out);
+            runBlockLocal(cfg, rank, kernel, ws, gate, out);
             if (out.crashed)
                 break;
             gate.complete(rank);
@@ -244,7 +243,7 @@ Device::launch(const LaunchConfig &cfg, const KernelFn &kernel)
                 if (rank >= num_blocks)
                     break;
                 BlockOutcome &out = outcomes[rank];
-                runBlockLocal(cfg, rank, kernel, ws, gate_ptr, out);
+                runBlockLocal(cfg, rank, kernel, ws, gate, out);
                 if (out.crashed)
                     break;
                 gate.complete(rank);

@@ -44,7 +44,6 @@ using KernelFn = std::function<void(ThreadCtx &)>;
 struct DeviceParams {
     size_t arena_bytes = 256 * 1024 * 1024; //!< global-memory capacity
     size_t shared_bytes = 96 * 1024;        //!< shared memory per block
-    size_t fiber_stack_bytes = 64 * 1024;   //!< stack per simulated thread
 
     /**
      * Host worker threads executing thread blocks concurrently.
@@ -53,15 +52,6 @@ struct DeviceParams {
      * the launching thread. Results are bit-identical at any value.
      */
     uint32_t num_workers = 0;
-
-    /**
-     * Serialize ordering-sensitive accesses (global atomics, declared
-     * ordered regions) in block-rank order so functional results are
-     * deterministic across worker counts. Disabling removes the rank
-     * gate: embarrassingly parallel workloads are unaffected, but
-     * cross-block atomic results become schedule-dependent.
-     */
-    bool strict_atomic_order = true;
 
     TimingParams timing;                    //!< timing model parameters
 };
@@ -100,9 +90,6 @@ class Device
 
     /** Global memory arena. */
     GlobalMemory &mem() { return mem_; }
-
-    /** Timing model (reset at every launch). */
-    MemTiming &timing() { return timing_; }
 
     /** Parameters this device was built with. */
     const DeviceParams &params() const { return params_; }
@@ -168,17 +155,13 @@ class Device
     /**
      * Per-worker reusable execution state. Each worker owns its own
      * fiber stack pool (StackPool is not thread-safe) and its own
-     * block-local MemTiming with tracing enabled.
+     * block-local MemTiming, whose trace the committing thread replays.
      */
     struct WorkerState {
         MemTiming timing;
         StackPool stacks;
 
-        WorkerState(const TimingParams &tp, size_t stack_bytes)
-            : timing(tp), stacks(stack_bytes)
-        {
-            timing.setTracing(true);
-        }
+        explicit WorkerState(const TimingParams &tp) : timing(tp) {}
     };
 
     /** Everything one block's execution produced, pending rank commit. */
@@ -196,7 +179,7 @@ class Device
      */
     void runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
                        const KernelFn &kernel, WorkerState &ws,
-                       RankGate *gate, BlockOutcome &out);
+                       RankGate &gate, BlockOutcome &out);
 
     /**
      * Commit @p out at the next free SM in rank order: replay its

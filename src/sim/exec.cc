@@ -90,11 +90,11 @@ ReadySet::popNextSlow(uint32_t from)
 // ---------------------------------------------------------------------
 
 BlockState::BlockState(GlobalMemory &mem, MemTiming &timing, NvmCache *nvm,
-                       Dim3 block_idx, const LaunchConfig &cfg, Cycles start,
-                       size_t shared_bytes, RankGate *gate, uint64_t rank,
+                       Dim3 block_idx, const LaunchConfig &cfg,
+                       size_t shared_bytes, RankGate &gate, uint64_t rank,
                        const OrderedRegions *ordered)
     : mem_(mem), timing_(timing), nvm_(nvm), block_idx_(block_idx),
-      cfg_(cfg), start_(start), gate_(gate), rank_(rank),
+      cfg_(cfg), gate_(gate), rank_(rank),
       ordered_(ordered != nullptr && !ordered->empty() ? ordered : nullptr),
       num_threads_(cfg.threadsPerBlock()),
       num_warps_((num_threads_ + kWarpSize - 1) / kWarpSize),
@@ -245,11 +245,18 @@ BlockState::sharedSlot(uint32_t slot_id, size_t bytes)
 void
 BlockState::gateOrdering(uint32_t tid)
 {
-    if (gate_leader_ || gate_ == nullptr)
+    if (gate_leader_)
         return;
-    if (!gate_->isLeader(rank_))
-        obs::add(obs::Ctr::SimGateWaits); // one per wait episode
-    while (!gate_->isLeader(rank_)) {
+    // Sticky park: leadership observed while a sibling is parked must
+    // not let this thread overtake it (see the declaration).
+    if (gate_waiters_.empty()) {
+        if (gate_.isLeader(rank_)) {
+            gate_leader_ = true;
+            return;
+        }
+        obs::add(obs::Ctr::SimGateWaits); // the block's first park
+    }
+    do {
         checkCrash();
         // Park on the gate wait list: the runner wakes the whole list
         // when the frontier reaches this rank (or a crash latches, in
@@ -257,7 +264,7 @@ BlockState::gateOrdering(uint32_t tid)
         // event id is the epoch of the wake that will release us.
         parkOn(gate_waiters_, tid,
                SchedEvent{SchedEventKind::RankGate, gate_wake_epoch_});
-    }
+    } while (!gate_.isLeader(rank_));
     gate_leader_ = true;
 }
 
@@ -305,8 +312,7 @@ BlockState::maybeReleaseWarp(WarpState &w, uint32_t releaser)
 // ---------------------------------------------------------------------
 
 ThreadCtx::ThreadCtx(BlockState &block, Dim3 thread_idx, uint32_t flat_tid)
-    : block_(block), thread_idx_(thread_idx), flat_tid_(flat_tid),
-      cycles_(block.start_)
+    : block_(block), thread_idx_(thread_idx), flat_tid_(flat_tid)
 {
 }
 
@@ -323,13 +329,9 @@ ThreadCtx::atomicCAS64(Addr addr, uint64_t compare, uint64_t value)
     block_.checkCrash();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 8);
-    uint64_t old;
-    {
-        std::lock_guard<std::mutex> lk(block_.mem_.rmwMutex(addr));
-        old = block_.mem_.read<uint64_t>(addr);
-        if (old == compare)
-            block_.mem_.write<uint64_t>(addr, value);
-    }
+    uint64_t old = block_.mem_.read<uint64_t>(addr);
+    if (old == compare)
+        block_.mem_.write<uint64_t>(addr, value);
     cycles_ = block_.timing_.onAtomic(addr, cycles_, flat_tid_);
     return old;
 }
@@ -346,12 +348,8 @@ ThreadCtx::atomicExch64(Addr addr, uint64_t value)
     block_.checkCrash();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 8);
-    uint64_t old;
-    {
-        std::lock_guard<std::mutex> lk(block_.mem_.rmwMutex(addr));
-        old = block_.mem_.read<uint64_t>(addr);
-        block_.mem_.write<uint64_t>(addr, value);
-    }
+    uint64_t old = block_.mem_.read<uint64_t>(addr);
+    block_.mem_.write<uint64_t>(addr, value);
     cycles_ = block_.timing_.onAtomic(addr, cycles_, flat_tid_);
     return old;
 }
@@ -368,12 +366,8 @@ ThreadCtx::atomicAddF(Addr addr, float delta)
     block_.checkCrash();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 4);
-    float old;
-    {
-        std::lock_guard<std::mutex> lk(block_.mem_.rmwMutex(addr));
-        old = block_.mem_.read<float>(addr);
-        block_.mem_.write<float>(addr, old + delta);
-    }
+    float old = block_.mem_.read<float>(addr);
+    block_.mem_.write<float>(addr, old + delta);
     cycles_ = block_.timing_.onAtomic(addr, cycles_, flat_tid_);
     return old;
 }

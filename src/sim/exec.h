@@ -18,10 +18,11 @@
  * other device operations are non-blocking and charge the thread's
  * cycle counter.
  *
- * Timing: each thread carries an absolute cycle counter (its block's
- * start cycle plus its own progress). Collectives align counters to
- * the max participant; atomics serialize through MemTiming's
- * per-address table; loads/stores accumulate roofline traffic.
+ * Timing: each thread carries a block-local cycle counter starting at
+ * 0; the launch shifts it to the block's SM start cycle at commit.
+ * Collectives align counters to the max participant; atomics serialize
+ * through MemTiming's per-address table; loads/stores accumulate
+ * roofline traffic.
  */
 
 #ifndef GPULP_SIM_EXEC_H
@@ -277,22 +278,21 @@ class BlockState
 {
   public:
     /**
-     * @param mem Device global memory (for crash-state queries only).
-     * @param timing Timing model shared by the launch.
+     * @param mem Device global memory.
+     * @param timing The running worker's block-local timing table.
      * @param nvm NVM model, or nullptr when persistency is not modelled.
      * @param block_idx This block's index in the grid.
      * @param cfg The launch configuration.
-     * @param start Absolute cycle at which this block's SM started it.
      * @param shared_bytes Shared-memory capacity for the block.
-     * @param gate Rank gate serializing ordering-sensitive accesses, or
-     *        nullptr to run ungated (single worker / relaxed order).
+     * @param gate The launch's rank gate, serializing
+     *        ordering-sensitive accesses in block-rank order.
      * @param rank This block's flat rank in the grid.
      * @param ordered Declared ordered regions, or nullptr.
      */
     BlockState(GlobalMemory &mem, MemTiming &timing, NvmCache *nvm,
-               Dim3 block_idx, const LaunchConfig &cfg, Cycles start,
-               size_t shared_bytes, RankGate *gate = nullptr,
-               uint64_t rank = 0, const OrderedRegions *ordered = nullptr);
+               Dim3 block_idx, const LaunchConfig &cfg,
+               size_t shared_bytes, RankGate &gate, uint64_t rank,
+               const OrderedRegions *ordered = nullptr);
 
     BlockState(const BlockState &) = delete;
     BlockState &operator=(const BlockState &) = delete;
@@ -318,9 +318,6 @@ class BlockState
      * popReady().
      */
     void setSchedulePolicy(SchedulePolicy *policy) { policy_ = policy; }
-
-    /** The installed policy, or nullptr on the default path. */
-    SchedulePolicy *schedulePolicy() { return policy_; }
 
     /**
      * Claim the next thread to resume. On the default path: the
@@ -371,13 +368,7 @@ class BlockState
     /** Raw pointer into the shared arena. */
     char *sharedRaw(size_t offset) { return shared_.data() + offset; }
 
-    // Rank-gate plumbing for the parallel engine ----------------------------
-
-    /** This block's flat rank in the grid. */
-    uint64_t rank() const { return rank_; }
-
-    /** The launch's rank gate, or nullptr when ungated. */
-    RankGate *gate() { return gate_; }
+    // Rank gate ---------------------------------------------------------------
 
     /**
      * Block until this block is the rank leader (every lower rank has
@@ -385,6 +376,13 @@ class BlockState
      * this once; leadership is kept until the block completes. Parks
      * the calling fiber (@p tid) on the gate wait list while waiting;
      * throws SimCrash if a crash latches meanwhile.
+     *
+     * The park is sticky: while any thread of the block is parked, a
+     * later arrival parks behind it even if leadership has arrived
+     * meanwhile. Once the block has parked, leadership is granted only
+     * by the runner's wakeGateParked() after the ready set drains, so
+     * leadership arriving mid-block cannot reorder the block's
+     * ordering-sensitive accesses.
      */
     void gateOrdering(uint32_t tid);
 
@@ -392,7 +390,7 @@ class BlockState
     bool
     mustOrder(Addr addr, size_t bytes) const
     {
-        return gate_ != nullptr && !gate_leader_ && ordered_ != nullptr &&
+        return !gate_leader_ && ordered_ != nullptr &&
                inOrderedRegion(addr, bytes);
     }
 
@@ -468,9 +466,8 @@ class BlockState
     NvmCache *nvm_;
     Dim3 block_idx_;
     LaunchConfig cfg_;
-    Cycles start_;
 
-    RankGate *gate_;
+    RankGate &gate_;
     uint64_t rank_;
     const OrderedRegions *ordered_;
     bool gate_leader_ = false;
@@ -797,16 +794,13 @@ class ThreadCtx
         block_.checkCrash();
         block_.gateOrdering(flat_tid_);
         noteAtomic(addr, 4);
-        uint32_t old, next;
-        {
-            // Host-atomic RMW: relevant only in relaxed-order mode,
-            // where concurrent blocks may race on one word.
-            std::lock_guard<std::mutex> lk(block_.mem_.rmwMutex(addr));
-            old = block_.mem_.read<uint32_t>(addr);
-            next = op(old);
-            if (next != old)
-                block_.mem_.write<uint32_t>(addr, next);
-        }
+        // No host lock, here or in the 64-bit/float RMWs: only the rank
+        // leader executes RMWs, and the gate's release/acquire on the
+        // frontier orders one leader's writes before the next's reads.
+        uint32_t old = block_.mem_.read<uint32_t>(addr);
+        uint32_t next = op(old);
+        if (next != old)
+            block_.mem_.write<uint32_t>(addr, next);
         cycles_ = block_.timing_.onAtomic(addr, cycles_, flat_tid_);
         return old;
     }
@@ -814,7 +808,7 @@ class ThreadCtx
     BlockState &block_;
     Dim3 thread_idx_;
     uint32_t flat_tid_;
-    Cycles cycles_;
+    Cycles cycles_ = 0;
     uint32_t outstanding_flushes_ = 0;
     bool exited_ = false;
 };

@@ -13,13 +13,16 @@
  */
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/lp_config.h"
 #include "core/runtime.h"
+#include "fiber/fiber.h"
 #include "obs/counters.h"
 #include "sim/exec.h"
 #include "sim/thread_pool.h"
@@ -272,6 +275,67 @@ TEST(SchedTest, FrontierAdvanceGrantsLeadership)
 
     EXPECT_TRUE(got_leadership);
     EXPECT_EQ(gate.frontier(), 1u);
+}
+
+/**
+ * Leadership that arrives while some of a block's threads are already
+ * parked on the gate must not let later threads overtake them. Drives
+ * rank 1 of a two-block gate with the runner's own pop/resume/exit
+ * loop and completes rank 0 the moment exactly k threads are parked —
+ * the host-timing window a second worker opens in a real launch. Each
+ * thread's atomicAdd must still return its tid, the order a single
+ * worker (where rank 1 is leader from its first access) produces.
+ */
+TEST(SchedTest, LeadershipArrivingMidBlockKeepsParkedThreadsFirst)
+{
+    constexpr uint32_t kThreads = 8;
+    for (uint32_t k = 1; k < kThreads; ++k) {
+        SCOPED_TRACE("leadership after " + std::to_string(k) + " parks");
+        GlobalMemory mem(4096);
+        const Addr word = mem.alloc(sizeof(uint32_t));
+        MemTiming timing;
+        RankGate gate(/*num_blocks=*/2, /*num_workers=*/1);
+        const LaunchConfig cfg(Dim3(2), Dim3(kThreads));
+        BlockState state(mem, timing, /*nvm=*/nullptr, Dim3(1), cfg,
+                         /*shared_bytes=*/0, gate, /*rank=*/1);
+
+        std::vector<ThreadCtx> ctxs;
+        ctxs.reserve(kThreads);
+        std::vector<uint32_t> seen(kThreads, UINT32_MAX);
+        std::vector<std::unique_ptr<Fiber>> fibers;
+        for (uint32_t t = 0; t < kThreads; ++t) {
+            ctxs.emplace_back(state, Dim3(t), t);
+            fibers.push_back(std::make_unique<Fiber>(
+                [&ctx = ctxs[t], &out = seen[t], word] {
+                    out = ctx.atomicAdd(word, 1);
+                }));
+        }
+
+        bool completed = false;
+        uint32_t last = BlockState::kNoThread;
+        while (state.liveThreads() > 0) {
+            uint32_t t = state.popReady(last);
+            if (t == BlockState::kNoThread) {
+                ASSERT_TRUE(completed) << "ready set drained before "
+                                          "rank 0 completed";
+                ASSERT_GT(state.gateParkedThreads(), 0u);
+                state.wakeGateParked();
+                last = BlockState::kNoThread;
+                continue;
+            }
+            fibers[t]->resume();
+            if (fibers[t]->finished())
+                state.onThreadExit(ctxs[t]);
+            last = t;
+            if (!completed && state.gateParkedThreads() == k) {
+                gate.complete(0);
+                completed = true;
+            }
+        }
+
+        for (uint32_t t = 0; t < kThreads; ++t)
+            EXPECT_EQ(seen[t], t) << "thread " << t;
+    }
 }
 
 } // namespace
