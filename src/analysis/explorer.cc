@@ -181,11 +181,6 @@ exploreSchedules(Device &dev, const ExploreOptions &opts,
     }
 
     case PolicyKind::DporLite: {
-        GPULP_ASSERT(dev.resolveWorkers() == 1,
-                     "DPOR-lite exploration needs exactly 1 worker "
-                     "(got %u): prefix replay relies on gate-park-free "
-                     "single-worker determinism",
-                     dev.resolveWorkers());
         std::deque<PrefixMap> worklist;
         std::set<PrefixMap> enqueued;
         worklist.push_back(PrefixMap{});
@@ -267,11 +262,7 @@ runExplorerCell(const ExplorerOptions &opts, const std::string &name,
     cell.policy = kind;
 
     DeviceParams dparams;
-    // DPOR replay requires the single-worker engine (the rank gate
-    // never parks there, so a block's decision sequence is a pure
-    // function of its forced prefix).
-    dparams.num_workers =
-        kind == PolicyKind::DporLite ? 1 : opts.num_workers;
+    dparams.num_workers = opts.num_workers;
     Device dev(dparams);
     NvmParams nparams;
     nparams.cache_bytes = opts.nvm_cache_bytes;
@@ -280,7 +271,7 @@ runExplorerCell(const ExplorerOptions &opts, const std::string &name,
     if (log)
         nvm.attachPersistLog(log.get());
     dev.attachNvm(&nvm);
-    if (workers_out && kind != PolicyKind::DporLite)
+    if (workers_out)
         *workers_out = dev.resolveWorkers();
 
     auto w = makeWorkload(name, opts.scale);
@@ -513,8 +504,6 @@ runScheduleExploration(const ExplorerOptions &opts)
                 runExplorerCell(opts, name, kind, &result.workers));
         }
     }
-    if (result.workers == 0)
-        result.workers = 1;
     result.counters = obs::snapshotCounters();
     return result;
 }

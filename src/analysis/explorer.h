@@ -26,9 +26,10 @@
  *    asserts the PR-2 checksum-protocol invariants: zero false-passes
  *    and recovery convergence to the golden bytes.
  *
- * Determinism: a fixed (options, workers) pair explores a fixed
- * schedule set. DPOR-lite cells force workers=1 — at a single worker
- * the rank gate never parks, so traces replay exactly.
+ * Determinism: fixed options explore a fixed schedule set at any
+ * worker count. A rank-gate wait blocks inside the fiber and is not a
+ * scheduling decision, so a block's decision sequence is a pure
+ * function of its policy (for DPOR-lite, of its forced prefix).
  */
 
 #ifndef GPULP_ANALYSIS_EXPLORER_H
@@ -93,9 +94,7 @@ struct ExploreResult {
 
 /**
  * Explore schedules of whatever @p run launches on @p dev. The
- * installed factory is removed before returning. @p dev must be
- * configured with 1 worker for PolicyKind::DporLite (replay needs
- * gate-park-free determinism); fatal otherwise.
+ * installed factory is removed before returning.
  */
 ExploreResult exploreSchedules(Device &dev, const ExploreOptions &opts,
                                const ScheduleRunFn &run);
@@ -118,7 +117,7 @@ struct ExplorerOptions {
     uint32_t crash_points = 0;
     /** Explored schedules that get the crash sweep (first N distinct). */
     uint32_t crash_schedules = 2;
-    /** Workers for non-DPOR cells (DPOR forces 1). 0 = auto. */
+    /** Block workers for every cell. 0 = auto. */
     uint32_t num_workers = 1;
     size_t nvm_cache_bytes = 16 * 1024;
     /** Distinct interleavings each workload must reach across its

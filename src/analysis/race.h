@@ -2,7 +2,7 @@
  * @file
  * Happens-before race analysis over one thread block's schedule trace.
  *
- * The scheduler yields only at collectives and the rank gate, so a
+ * The scheduler yields only at collectives, so a
  * block run decomposes into *scheduling segments*: the instructions a
  * thread executes between one resume and its next park/exit. The
  * tracker maintains FastTrack-style state — a vector clock per thread,
@@ -16,9 +16,9 @@
  *    into the event; the completing arrival (releaser) joins at
  *    release; every released thread (and the releaser) then joins the
  *    event clock — a full join-all, matching __syncthreads semantics.
- *  - rank gate: join-all among the parked set at the wake. This is
- *    deliberately conservative (the gate orders blocks, not threads);
- *    see docs/SCHEDULE_EXPLORATION.md.
+ *  - rank gate: none. A fiber waits for leadership in place, without
+ *    parking, and the gate orders blocks, not the threads of one
+ *    block; see docs/SCHEDULE_EXPLORATION.md.
  *  - atomics: pairs of atomics on one address are serialized by the
  *    simulator and treated as acquire/release through a per-address
  *    clock, so atomic–atomic pairs never race; an atomic still

@@ -45,8 +45,8 @@ NvmCache::onStore(Addr addr, size_t bytes)
             // batches durable.
             if (crash_latch_action_)
                 crash_latch_action_();
-            // Wake anything parked on the rank gate: with event-driven
-            // waits there is no timed re-poll to notice the latch.
+            // Wake any fiber waiting on the rank gate: the wait is
+            // event-driven, with no timed re-poll to notice the latch.
             if (abort_notifier_)
                 abort_notifier_();
         } else {

@@ -221,7 +221,7 @@ class NvmCache : public MemObserver
     /**
      * Register @p fn (or clear with an empty function) to be invoked
      * exactly when the crash latch trips. Device::launch points this at
-     * RankGate::notifyAbort so workers parked on the gate wake the
+     * RankGate::notifyAbort so fibers waiting on the gate wake the
      * moment power "fails" instead of waiting for a frontier advance
      * that may never come. Invoked with the cache's mutex held — the
      * callee must not re-enter the cache.

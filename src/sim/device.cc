@@ -114,28 +114,15 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
     }
 
     // Event-driven scheduling: resume ready fibers in cyclic flat-tid
-    // order; fibers parked on a collective or the rank gate rejoin the
-    // ready set only when their event releases, never to re-poll. An
-    // empty ready set with live threads means either every live thread
-    // is parked on the rank gate (the block waits for lower ranks —
-    // park the worker on the gate until the frontier moves or a crash
-    // latches) or the block genuinely deadlocked.
+    // order; fibers parked on a collective rejoin the ready set only
+    // when their event releases, never to re-poll. A rank-gate wait
+    // blocks inside the running fiber, so an empty ready set with live
+    // threads is always a deadlock.
     uint32_t last = BlockState::kNoThread;
     uint64_t switches = 0; // folded into SimFiberSwitches once per block
     while (state.liveThreads() > 0) {
         uint32_t t = state.popReady(last);
         if (t == BlockState::kNoThread) {
-            if (state.gateParkedThreads() > 0) {
-                gate.awaitLeader(rank, [this] {
-                    return nvm_ != nullptr && nvm_->crashPending();
-                });
-                state.wakeGateParked();
-                // The retired poll loop restarted its pass at tid 0
-                // after a gate wake; keep that scan origin so resume
-                // order — and therefore every result — is unchanged.
-                last = BlockState::kNoThread;
-                continue;
-            }
             GPULP_PANIC("thread block (%u,%u,%u) deadlocked: %u threads "
                         "waiting on a collective that cannot release",
                         block_idx.x, block_idx.y, block_idx.z,
@@ -202,9 +189,10 @@ Device::launch(const LaunchConfig &cfg, const KernelFn &kernel)
 
     RankGate gate(num_blocks, workers);
 
-    // Gate waits are purely event-driven now, so the NVM crash latch
-    // must wake gate-parked workers itself; route it at the gate for
-    // the duration of this launch (the gate is stack-local).
+    // A fiber waiting for leadership sleeps on the gate's condition
+    // variable, so the NVM crash latch must wake it itself; route it
+    // at the gate for the duration of this launch (the gate is
+    // stack-local).
     if (nvm_)
         nvm_->setAbortNotifier([&gate] { gate.notifyAbort(); });
 

@@ -99,8 +99,7 @@ BlockState::BlockState(GlobalMemory &mem, MemTiming &timing, NvmCache *nvm,
       num_threads_(cfg.threadsPerBlock()),
       num_warps_((num_threads_ + kWarpSize - 1) / kWarpSize),
       live_(num_threads_), warps_(num_warps_), shared_(shared_bytes, 0),
-      ready_(num_threads_), bar_waiters_(num_threads_),
-      gate_waiters_(num_threads_)
+      ready_(num_threads_), bar_waiters_(num_threads_)
 {
     for (uint32_t w = 0; w < num_warps_; ++w) {
         uint32_t lanes =
@@ -243,28 +242,17 @@ BlockState::sharedSlot(uint32_t slot_id, size_t bytes)
 }
 
 void
-BlockState::gateOrdering(uint32_t tid)
+BlockState::gateOrdering()
 {
     if (gate_leader_)
         return;
-    // Sticky park: leadership observed while a sibling is parked must
-    // not let this thread overtake it (see the declaration).
-    if (gate_waiters_.empty()) {
-        if (gate_.isLeader(rank_)) {
-            gate_leader_ = true;
-            return;
-        }
-        obs::add(obs::Ctr::SimGateWaits); // the block's first park
+    if (!gate_.isLeader(rank_)) {
+        obs::add(obs::Ctr::SimGateWaits); // once per block: leadership sticks
+        if (!gate_.awaitLeader(rank_, [this] {
+                return nvm_ != nullptr && nvm_->crashPending();
+            }))
+            throw SimCrash{};
     }
-    do {
-        checkCrash();
-        // Park on the gate wait list: the runner wakes the whole list
-        // when the frontier reaches this rank (or a crash latches, in
-        // which case checkCrash() unwinds the fiber on re-entry). The
-        // event id is the epoch of the wake that will release us.
-        parkOn(gate_waiters_, tid,
-               SchedEvent{SchedEventKind::RankGate, gate_wake_epoch_});
-    } while (!gate_.isLeader(rank_));
     gate_leader_ = true;
 }
 
@@ -327,7 +315,7 @@ uint64_t
 ThreadCtx::atomicCAS64(Addr addr, uint64_t compare, uint64_t value)
 {
     block_.checkCrash();
-    block_.gateOrdering(flat_tid_);
+    block_.gateOrdering();
     noteAtomic(addr, 8);
     uint64_t old = block_.mem_.read<uint64_t>(addr);
     if (old == compare)
@@ -346,7 +334,7 @@ uint64_t
 ThreadCtx::atomicExch64(Addr addr, uint64_t value)
 {
     block_.checkCrash();
-    block_.gateOrdering(flat_tid_);
+    block_.gateOrdering();
     noteAtomic(addr, 8);
     uint64_t old = block_.mem_.read<uint64_t>(addr);
     block_.mem_.write<uint64_t>(addr, value);
@@ -364,7 +352,7 @@ float
 ThreadCtx::atomicAddF(Addr addr, float delta)
 {
     block_.checkCrash();
-    block_.gateOrdering(flat_tid_);
+    block_.gateOrdering();
     noteAtomic(addr, 4);
     float old = block_.mem_.read<float>(addr);
     block_.mem_.write<float>(addr, old + delta);
@@ -419,7 +407,7 @@ void
 ThreadCtx::lockAcquire(Addr addr)
 {
     block_.checkCrash();
-    block_.gateOrdering(flat_tid_);
+    block_.gateOrdering();
     noteAtomic(addr, 4);
     // Functionally the lock is always free by the time this block may
     // touch it (rank ordering); the *queueing delay* of contenders is

@@ -6,11 +6,12 @@
  *
  * Execution model: every thread of a block runs on its own fiber,
  * scheduled event-driven. Fibers suspend only inside collectives
- * (__syncthreads, warp shuffles) and on the rank gate — the same
- * points where SIMT hardware requires convergence — by parking on a
- * wait list keyed to the event that will satisfy them (barrier
- * generation, per-warp collective generation, rank-gate frontier).
- * Releasing the event moves its waiters back to the ready set; a
+ * (__syncthreads, warp shuffles) — the points where SIMT hardware
+ * requires convergence — by parking on a wait list keyed to the event
+ * that will satisfy them (barrier generation, per-warp collective
+ * generation). Waiting for rank-gate leadership is not a suspension:
+ * the fiber blocks its worker in place, so it never changes the resume
+ * order. Releasing an event moves its waiters back to the ready set; a
  * parked fiber is never resumed just to re-poll. The runner resumes
  * ready fibers in cyclic flat-tid order, which reproduces the retired
  * poll-everything loop's interleaving exactly (minus the no-op
@@ -79,9 +80,9 @@ struct WarpState {
 };
 
 /**
- * Flat tids parked on one event (block barrier, rank gate), stored as
- * a bitmap so waking the whole list is a word-wise OR into the ready
- * set instead of a per-thread walk.
+ * Flat tids parked on the block barrier, stored as a bitmap so waking
+ * the whole list is a word-wise OR into the ready set instead of a
+ * per-thread walk.
  */
 struct WaitSet {
     explicit WaitSet(uint32_t n) : bits((n + 63) / 64, 0) {}
@@ -93,8 +94,6 @@ struct WaitSet {
         bits[tid >> 6] |= uint64_t{1} << (tid & 63);
         ++count;
     }
-
-    bool empty() const { return count == 0; }
 
     std::vector<uint64_t> bits;
     uint32_t count = 0;
@@ -324,9 +323,8 @@ class BlockState
      * smallest ready tid strictly after @p last in cyclic flat-tid
      * order (pass kNoThread to start from tid 0), removed from the
      * ready set. With a policy installed the pick is delegated to it.
-     * Returns kNoThread when no thread is ready — then either
-     * gateParkedThreads() > 0 (the block waits on lower ranks) or the
-     * block is deadlocked.
+     * Returns kNoThread when no thread is ready: with live threads
+     * left, the block is deadlocked.
      */
     uint32_t
     popReady(uint32_t last)
@@ -338,24 +336,6 @@ class BlockState
 
     /** Sentinel tid for popReady(). */
     static constexpr uint32_t kNoThread = ReadySet::kNone;
-
-    /** Threads parked on the rank gate (waiting for lower ranks). */
-    uint32_t gateParkedThreads() const { return gate_waiters_.count; }
-
-    /**
-     * Move every gate-parked thread back to the ready set. The runner
-     * calls this after RankGate::awaitLeader returns — on leadership
-     * the woken fibers proceed; on crash-abort they observe the latch
-     * and unwind via SimCrash. The wake is the runner's doing, not any
-     * thread's arrival, so the release event carries no releaser tid.
-     */
-    void
-    wakeGateParked()
-    {
-        wake(gate_waiters_,
-             SchedEvent{SchedEventKind::RankGate, gate_wake_epoch_++},
-             SchedulePolicy::kNoTid);
-    }
 
     /**
      * Resolve or allocate the shared-memory slot @p slot_id of
@@ -373,18 +353,15 @@ class BlockState
     /**
      * Block until this block is the rank leader (every lower rank has
      * completed). First ordering-sensitive access of the block pays
-     * this once; leadership is kept until the block completes. Parks
-     * the calling fiber (@p tid) on the gate wait list while waiting;
-     * throws SimCrash if a crash latches meanwhile.
+     * this once; leadership is kept until the block completes.
      *
-     * The park is sticky: while any thread of the block is parked, a
-     * later arrival parks behind it even if leadership has arrived
-     * meanwhile. Once the block has parked, leadership is granted only
-     * by the runner's wakeGateParked() after the ready set drains, so
-     * leadership arriving mid-block cannot reorder the block's
-     * ordering-sensitive accesses.
+     * The calling fiber waits in place (RankGate::awaitLeader, no
+     * yield), holding its worker, so its siblings neither run nor
+     * reorder meanwhile: the resume order is the one a single worker
+     * produces, where every block is leader from its first access.
+     * Throws SimCrash if a crash latches during the wait.
      */
-    void gateOrdering(uint32_t tid);
+    void gateOrdering();
 
     /** True when @p addr must wait for rank leadership first. */
     bool
@@ -489,16 +466,14 @@ class BlockState
     std::unordered_map<uint32_t, size_t> shared_slots_;
 
     // Scheduler state: threads are in exactly one place — running,
-    // ready, on a wait list (bar_waiters_ / warp.waiters /
-    // gate_waiters_), or exited.
+    // ready, on a wait list (bar_waiters_ / a warp's wait_mask), or
+    // exited.
     ReadySet ready_;
     WaitSet bar_waiters_;
-    WaitSet gate_waiters_;
 
-    // Analysis hooks: null on the production path (a single untaken
+    // Analysis hook: null on the production path (a single untaken
     // branch per decision point / access).
     SchedulePolicy *policy_ = nullptr;
-    uint64_t gate_wake_epoch_ = 0;
 };
 
 /**
@@ -623,7 +598,7 @@ class ThreadCtx
     {
         block_.checkCrash();
         if (block_.mustOrder(addr, sizeof(T)))
-            block_.gateOrdering(flat_tid_);
+            block_.gateOrdering();
         if (block_.policy_ != nullptr)
             block_.policy_->onGlobalAccess(flat_tid_, addr, sizeof(T),
                                            AccessKind::Load);
@@ -638,7 +613,7 @@ class ThreadCtx
     {
         block_.checkCrash();
         if (block_.mustOrder(addr, sizeof(T)))
-            block_.gateOrdering(flat_tid_);
+            block_.gateOrdering();
         if (block_.policy_ != nullptr)
             block_.policy_->onGlobalAccess(flat_tid_, addr, sizeof(T),
                                            AccessKind::Store);
@@ -792,7 +767,7 @@ class ThreadCtx
     rmw32(Addr addr, Op &&op)
     {
         block_.checkCrash();
-        block_.gateOrdering(flat_tid_);
+        block_.gateOrdering();
         noteAtomic(addr, 4);
         // No host lock, here or in the 64-bit/float RMWs: only the rank
         // leader executes RMWs, and the gate's release/acquire on the

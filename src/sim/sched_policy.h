@@ -12,9 +12,11 @@
  * (Device::setSchedulePolicyFactory) reroutes the pick through
  * SchedulePolicy::pick() and turns on the event/access hooks below, so
  * an analysis layer (src/analysis) can permute resume order at every
- * decision point and record a happens-before trace of the park/wake/
- * gate events plus the global- and shared-memory access sets of every
- * scheduling segment.
+ * decision point and record a happens-before trace of the park/wake
+ * events plus the global- and shared-memory access sets of every
+ * scheduling segment. A rank-gate wait is not a scheduling event: the
+ * waiting fiber blocks in place, so it neither parks nor ends a
+ * segment.
  *
  * Hooks fire on the worker thread running the block; one policy
  * instance serves exactly one block run, so implementations need no
@@ -39,13 +41,12 @@ class ReadySet;
 enum class SchedEventKind : uint8_t {
     Barrier,        //!< __syncthreads generation
     WarpCollective, //!< one warp shuffle round
-    RankGate,       //!< the parallel engine's cross-block rank gate
 };
 
 /**
  * One park/wake event instance. @c id disambiguates concurrent
- * instances: the barrier generation, (warp index << 32) | generation
- * for a warp round, and a per-block wake epoch for the rank gate.
+ * instances: the barrier generation, and (warp index << 32) |
+ * generation for a warp round.
  */
 struct SchedEvent {
     SchedEventKind kind;
@@ -81,8 +82,7 @@ class SchedulePolicy
     /**
      * Remove and return the next tid to resume from @p ready, or
      * ReadySet::kNone when the set is empty. @p last is the previously
-     * resumed tid — kNoTid at block start and after a rank-gate wake,
-     * mirroring the scan-origin reset of the deterministic pick.
+     * resumed tid, or kNoTid at block start.
      */
     virtual uint32_t pick(ReadySet &ready, uint32_t last) = 0;
 
@@ -104,9 +104,9 @@ class SchedulePolicy
      * @p ev released, moving @p n waiters (@p woken) back to the ready
      * set. @p releaser is the tid whose arrival completed the event,
      * or kNoTid when the release was not an arrival (a thread exit
-     * releasing a collective, the runner waking the rank gate) — the
-     * distinction matters for happens-before: only an arriving
-     * releaser's prior accesses are ordered before the release.
+     * releasing a collective) — the distinction matters for
+     * happens-before: only an arriving releaser's prior accesses are
+     * ordered before the release.
      */
     virtual void
     onRelease(SchedEvent ev, const uint32_t *woken, uint32_t n,

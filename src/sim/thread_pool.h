@@ -97,9 +97,9 @@ class ThreadPool
  * would have produced. complete() marks a rank done and advances the
  * frontier over the contiguous completed prefix.
  *
- * Fibers poll isLeader() (cheap atomic read); the block runner parks
- * on awaitLeader() between scheduling passes; the launching thread
- * consumes finished ranks via awaitCompleted().
+ * A fiber checks isLeader() (cheap atomic read) and, if not leader,
+ * waits in awaitLeader() in place, holding its worker; the launching
+ * thread consumes finished ranks via awaitCompleted().
  */
 class RankGate
 {
@@ -114,13 +114,13 @@ class RankGate
     }
 
     /**
-     * Park the calling (worker) thread until @p rank is leader or
+     * Block the calling worker until @p rank is leader or
      * @p aborted() returns true. @return true when leadership was
      * reached, false on abort.
      *
      * Purely event-driven: the wait is woken by complete() advancing
      * the frontier or by notifyAbort(). An abort source outside the
-     * gate (the NVM crash latch) must call notifyAbort() or the park
+     * gate (the NVM crash latch) must call notifyAbort() or the wait
      * holds until the next frontier advance.
      */
     bool awaitLeader(uint64_t rank, const std::function<bool()> &aborted);

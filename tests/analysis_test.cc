@@ -433,27 +433,26 @@ TEST(AnalysisTest, ExplorerCellSweepPassesOnMain)
 }
 
 // ---------------------------------------------------------------------
-// Satellite S3: gate parks and the crash latch under random schedules
+// Gate waits and the crash latch under random schedules
 // ---------------------------------------------------------------------
 
 /**
- * At 2 workers concurrent blocks park on the rank gate and
- * wakeGateParked() hands them to the policy. Per seed the whole run —
- * gate parks included — must replay bit-identically; the deterministic
- * seed class must match the unpoliced engine exactly.
+ * At 2 workers concurrent blocks wait on the rank gate; the wait
+ * blocks inside the fiber, so it must not perturb the policy's
+ * schedule. Per seed the whole run must leave the arena bit-identical
+ * to the same seed at 1 worker, where no block ever waits. No NVM is
+ * attached, so host-order NVM write-back plays no part.
  */
-TEST(AnalysisTest, GateParksUnderSeededRandomReplayBitIdentically)
+TEST(AnalysisTest, SeededRandomReplayIsBitIdenticalAcrossWorkerCounts)
 {
-    auto arenaHashFor = [](uint64_t seed, bool random) {
+    auto arenaHashFor = [](uint64_t seed, uint32_t workers) {
         DeviceParams p;
-        p.num_workers = 2;
+        p.num_workers = workers;
         Device dev(p);
-        if (random) {
-            dev.setSchedulePolicyFactory([seed](uint64_t rank) {
-                return std::make_unique<SeededRandomPolicy>(
-                    rank, nullptr, seed ^ (rank * 0x9e3779b9ull));
-            });
-        }
+        dev.setSchedulePolicyFactory([seed](uint64_t rank) {
+            return std::make_unique<SeededRandomPolicy>(
+                rank, nullptr, seed ^ (rank * 0x9e3779b9ull));
+        });
         auto w = makeWorkload("tmm", 0.01);
         w->setup(dev);
         LpConfig cfg = LpConfig::naive(TableKind::QuadProbe);
@@ -465,15 +464,10 @@ TEST(AnalysisTest, GateParksUnderSeededRandomReplayBitIdentically)
         return fnv1a(dev.mem().raw(0), dev.mem().used());
     };
 
-    const uint64_t unpoliced = arenaHashFor(0, /*random=*/false);
     for (uint64_t seed = 1; seed <= 16; ++seed) {
-        EXPECT_EQ(arenaHashFor(seed, true), arenaHashFor(seed, true))
-            << "seed " << seed << " must replay bit-identically";
+        EXPECT_EQ(arenaHashFor(seed, 2), arenaHashFor(seed, 1))
+            << "seed " << seed << " must not depend on the worker count";
     }
-    // Every seed must also converge to the same *verified output*;
-    // the full-arena hash may differ across seeds (scratch ordering),
-    // which is why the per-seed replay check above is the invariant.
-    (void)unpoliced;
 }
 
 /**

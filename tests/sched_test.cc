@@ -13,6 +13,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,7 +23,6 @@
 
 #include "core/lp_config.h"
 #include "core/runtime.h"
-#include "fiber/fiber.h"
 #include "obs/counters.h"
 #include "sim/exec.h"
 #include "sim/thread_pool.h"
@@ -278,64 +278,66 @@ TEST(SchedTest, FrontierAdvanceGrantsLeadership)
 }
 
 /**
- * Leadership that arrives while some of a block's threads are already
- * parked on the gate must not let later threads overtake them. Drives
- * rank 1 of a two-block gate with the runner's own pop/resume/exit
- * loop and completes rank 0 the moment exactly k threads are parked —
- * the host-timing window a second worker opens in a real launch. Each
- * thread's atomicAdd must still return its tid, the order a single
- * worker (where rank 1 is leader from its first access) produces.
+ * Whether a block is already rank leader at its *first*
+ * ordering-sensitive access must not change its resume order. In rank
+ * 1, warp 0 shuffles once and then atomicAdds one word while warp 1
+ * atomicAdds it at once. At 1 worker rank 1 is leader from its first
+ * access. At 2 workers rank 0's tid 0 holds rank 0 open until rank 1
+ * is running, then for each delay in the list, so with a delay rank 1
+ * reaches the gate first and must wait. Every returned value must
+ * equal the 1-worker launch's, and the delayed launch must have
+ * counted a gate wait, or it did not exercise the wait at all.
  */
-TEST(SchedTest, LeadershipArrivingMidBlockKeepsParkedThreadsFirst)
+TEST(SchedTest, FirstGateArrivalKeepsOneWorkerOrder)
 {
-    constexpr uint32_t kThreads = 8;
-    for (uint32_t k = 1; k < kThreads; ++k) {
-        SCOPED_TRACE("leadership after " + std::to_string(k) + " parks");
-        GlobalMemory mem(4096);
-        const Addr word = mem.alloc(sizeof(uint32_t));
-        MemTiming timing;
-        RankGate gate(/*num_blocks=*/2, /*num_workers=*/1);
-        const LaunchConfig cfg(Dim3(2), Dim3(kThreads));
-        BlockState state(mem, timing, /*nvm=*/nullptr, Dim3(1), cfg,
-                         /*shared_bytes=*/0, gate, /*rank=*/1);
-
-        std::vector<ThreadCtx> ctxs;
-        ctxs.reserve(kThreads);
-        std::vector<uint32_t> seen(kThreads, UINT32_MAX);
-        std::vector<std::unique_ptr<Fiber>> fibers;
-        for (uint32_t t = 0; t < kThreads; ++t) {
-            ctxs.emplace_back(state, Dim3(t), t);
-            fibers.push_back(std::make_unique<Fiber>(
-                [&ctx = ctxs[t], &out = seen[t], word] {
-                    out = ctx.atomicAdd(word, 1);
-                }));
-        }
-
-        bool completed = false;
-        uint32_t last = BlockState::kNoThread;
-        while (state.liveThreads() > 0) {
-            uint32_t t = state.popReady(last);
-            if (t == BlockState::kNoThread) {
-                ASSERT_TRUE(completed) << "ready set drained before "
-                                          "rank 0 completed";
-                ASSERT_GT(state.gateParkedThreads(), 0u);
-                state.wakeGateParked();
-                last = BlockState::kNoThread;
-                continue;
+    constexpr uint32_t kThreads = 64;
+    auto run = [](uint32_t workers, std::chrono::milliseconds delay) {
+        DeviceParams p;
+        p.num_workers = workers;
+        Device dev(p);
+        auto word = ArrayRef<uint32_t>::allocate(dev.mem(), 1);
+        auto seen = ArrayRef<uint32_t>::allocate(dev.mem(), kThreads);
+        std::atomic<bool> rank1_running{false};
+        dev.launch(LaunchConfig(Dim3(2), Dim3(kThreads)), [&](ThreadCtx &t) {
+            if (t.blockRank() == 0) {
+                // Both ranks run concurrently at 2 workers, so rank 1
+                // is picked up while rank 0 holds its worker here.
+                if (workers > 1 && t.flatThreadIdx() == 0) {
+                    while (!rank1_running.load())
+                        std::this_thread::yield();
+                    std::this_thread::sleep_for(delay);
+                }
+                return;
             }
-            fibers[t]->resume();
-            if (fibers[t]->finished())
-                state.onThreadExit(ctxs[t]);
-            last = t;
-            if (!completed && state.gateParkedThreads() == k) {
-                gate.complete(0);
-                completed = true;
-            }
-        }
+            rank1_running.store(true);
+            if (t.warpId() == 0)
+                (void)t.shflDown(t.laneId(), 1);
+            t.store(seen, t.flatThreadIdx(), t.atomicAdd(word.base(), 1));
+        });
+        std::vector<uint32_t> out(kThreads);
+        for (uint32_t i = 0; i < kThreads; ++i)
+            out[i] = seen.get(i);
+        return out;
+    };
 
+    const std::vector<uint32_t> one_worker =
+        run(1, std::chrono::milliseconds(0));
+    const bool was_enabled = obs::countersEnabled();
+    obs::setCountersEnabled(true);
+    for (int delay_ms : {0, 20}) {
+        SCOPED_TRACE("rank 0 delayed " + std::to_string(delay_ms) + " ms");
+        obs::resetCounters();
+        const std::vector<uint32_t> two_workers =
+            run(2, std::chrono::milliseconds(delay_ms));
+        const uint64_t gate_waits =
+            obs::snapshotCounters()[obs::Ctr::SimGateWaits];
+        if (delay_ms > 0) {
+            EXPECT_EQ(gate_waits, 1u) << "rank 1 never waited for rank 0";
+        }
         for (uint32_t t = 0; t < kThreads; ++t)
-            EXPECT_EQ(seen[t], t) << "thread " << t;
+            EXPECT_EQ(two_workers[t], one_worker[t]) << "thread " << t;
     }
+    obs::setCountersEnabled(was_enabled);
 }
 
 } // namespace
