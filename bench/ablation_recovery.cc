@@ -73,15 +73,12 @@ main(int argc, char **argv)
                    [&](ThreadCtx &t) { w->kernel(t, &ctx); });
         nvm.crash();
 
-        RecoveryReport report = lpValidateAndRecover(
-            dev, w->launchConfig(), ctx,
+        RecoveryReport report = persistRecover(
+            dev, w->launchConfig(), *ctx.strategy,
             [&](ThreadCtx &t, RecoverySet &failed) {
                 w->validation(t, ctx, failed);
             },
-            [&](ThreadCtx &t, const RecoverySet &failed) {
-                if (failed.isFailedHost(t.blockRank()))
-                    w->kernel(t, &ctx);
-            });
+            [&](ThreadCtx &t) { w->kernel(t, &ctx); });
 
         std::string why;
         bool ok = w->verify(&why);

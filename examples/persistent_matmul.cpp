@@ -110,15 +110,12 @@ main()
                     tmm.launchConfig().numBlocks()));
     nvm.crash();
 
-    RecoveryReport report = lpValidateAndRecover(
-        dev, tmm.launchConfig(), ctx,
+    RecoveryReport report = persistRecover(
+        dev, tmm.launchConfig(), *ctx.strategy,
         [&](ThreadCtx &t, RecoverySet &failed) {
             tmm.validation(t, ctx, failed);
         },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                tmm.kernel(t, &ctx);
-        });
+        [&](ThreadCtx &t) { tmm.kernel(t, &ctx); });
     std::printf("recovery re-executed %llu blocks "
                 "(validate %llu cyc, recover %llu cyc)\n",
                 static_cast<unsigned long long>(report.blocks_recovered),

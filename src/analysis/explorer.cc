@@ -408,15 +408,12 @@ runExplorerCell(const ExplorerOptions &opts, const std::string &name,
                         std::to_string(cls.false_passes) +
                         " false-pass block(s) — silent corruption");
                 }
-                RecoveryReport rep = lpValidateAndRecover(
-                    dev, launch, ctx,
+                RecoveryReport rep = persistRecover(
+                    dev, launch, *ctx.strategy,
                     [&](ThreadCtx &t, RecoverySet &failed) {
                         w->validation(t, ctx, failed);
                     },
-                    [&](ThreadCtx &t, const RecoverySet &failed) {
-                        if (failed.isFailedHost(t.blockRank()))
-                            w->kernel(t, &ctx);
-                    });
+                    [&](ThreadCtx &t) { w->kernel(t, &ctx); });
                 if (!rep.converged) {
                     ++cell.unconverged;
                     violations.push_back(

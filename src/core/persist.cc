@@ -2,33 +2,72 @@
 
 #include <cstring>
 
-#include "obs/counters.h"
-#include "obs/trace.h"
+#include "core/runtime.h"
 
 namespace gpulp {
 namespace {
 
 /**
- * Durable per-block commit flags shared by the flush-based models
- * (strict/epoch). Host reads go through the NVM view and resets are
- * persisted — the same discipline the EP bugfixes established; see the
- * EpRuntime recovery docs for why the volatile arena must not be
- * trusted.
+ * Base of the four flush-based models: a block's failure verdict is
+ * the absence of its durable commit flag, which recovery reads on the
+ * host — no validation kernel, so classification charges no cycles.
  */
-class CommitFlags
+class FlagStrategy : public PersistStrategy
 {
   public:
-    CommitFlags(Device &dev, const LaunchConfig &launch)
-        : dev_(dev), blocks_(launch.numBlocks())
+    explicit FlagStrategy(const LpConfig &cfg) : cfg_(cfg) {}
+
+    LpContext
+    context() override
+    {
+        LpContext ctx;
+        ctx.cfg = &cfg_;
+        ctx.strategy = this;
+        return ctx;
+    }
+
+    LaunchResult
+    classify(Device &, const LaunchConfig &launch, const ValidateFn &,
+             RecoverySet &failed) override
+    {
+        for (uint64_t b = 0; b < launch.numBlocks(); ++b) {
+            if (!isCommittedHost(b))
+                failed.markFailedHost(b);
+        }
+        return LaunchResult{};
+    }
+
+    /** True if @p block's region committed *durably* (NVM view). */
+    virtual bool isCommittedHost(uint64_t block) const = 0;
+
+  private:
+    LpConfig cfg_;
+};
+
+/**
+ * Durable per-block commit flags shared by strict and the epoch
+ * models. Host reads go through the NVM view and resets are persisted
+ * — the same discipline the EP bugfixes established; see the EpRuntime
+ * recovery docs for why the volatile arena must not be trusted.
+ */
+class CommitFlagStrategy : public FlagStrategy
+{
+  public:
+    CommitFlagStrategy(Device &dev, const LpConfig &cfg,
+                       const LaunchConfig &launch)
+        : FlagStrategy(cfg), dev_(dev), blocks_(launch.numBlocks())
     {
         flags_ = dev_.mem().alloc(blocks_ * 4);
         reset();
     }
 
-    Addr flagAddr(uint64_t block) const { return flags_ + block * 4; }
+    void
+    prepare(ThreadCtx &, PersistAccum &, Addr, uint32_t) override
+    {
+    }
 
     bool
-    isCommittedHost(uint64_t block) const
+    isCommittedHost(uint64_t block) const override
     {
         GPULP_ASSERT(block < blocks_, "block out of range");
         uint32_t committed;
@@ -40,16 +79,33 @@ class CommitFlags
     }
 
     void
-    reset()
+    reset() override
     {
         std::memset(dev_.mem().raw(flags_), 0, blocks_ * 4);
         if (NvmCache *nvm = dev_.nvm())
             nvm->persistRange(flags_, blocks_ * 4);
     }
 
-    uint64_t footprintBytes() const { return blocks_ * 4; }
+    uint64_t footprintBytes() const override { return blocks_ * 4; }
+
+  protected:
+    /** Thread 0 raises the block's commit flag and flushes it, fenced
+     *  iff @p fence. Call after the block's barrier. */
+    void
+    commit(ThreadCtx &t, bool fence)
+    {
+        if (t.flatThreadIdx() != 0)
+            return;
+        Addr flag = flagAddr(t.blockRank());
+        t.storeAddr<uint32_t>(flag, 1);
+        t.clwb(flag);
+        if (fence)
+            t.persistBarrier();
+    }
 
   private:
+    Addr flagAddr(uint64_t block) const { return flags_ + block * 4; }
+
     Device &dev_;
     uint64_t blocks_;
     Addr flags_;
@@ -60,20 +116,12 @@ class CommitFlags
  * *and* persist barrier — before the thread proceeds. Strongest
  * ordering, zero metadata beyond the commit flag, worst stalls.
  */
-class StrictStrategy : public PersistStrategy
+class StrictStrategy : public CommitFlagStrategy
 {
   public:
-    StrictStrategy(Device &dev, const LaunchConfig &launch)
-        : flags_(dev, launch)
-    {
-    }
+    using CommitFlagStrategy::CommitFlagStrategy;
 
     PersistModel model() const override { return PersistModel::Strict; }
-
-    void
-    prepare(ThreadCtx &, PersistAccum &, Addr, uint32_t) override
-    {
-    }
 
     void
     publish(ThreadCtx &t, Addr addr) override
@@ -87,30 +135,8 @@ class StrictStrategy : public PersistStrategy
     {
         // Every store already drained; only the commit flag remains.
         t.syncthreads();
-        if (t.flatThreadIdx() == 0) {
-            Addr flag = flags_.flagAddr(t.blockRank());
-            t.storeAddr<uint32_t>(flag, 1);
-            t.clwb(flag);
-            t.persistBarrier();
-        }
+        commit(t, /*fence=*/true);
     }
-
-    bool
-    isCommittedHost(uint64_t block) const override
-    {
-        return flags_.isCommittedHost(block);
-    }
-
-    void reset() override { flags_.reset(); }
-
-    uint64_t
-    footprintBytes() const override
-    {
-        return flags_.footprintBytes();
-    }
-
-  private:
-    CommitFlags flags_;
 };
 
 /**
@@ -118,13 +144,10 @@ class StrictStrategy : public PersistStrategy
  * they happen (write-backs overlap with execution) but the persist
  * barrier — the stall — is paid once, when the block's epoch closes.
  */
-class EpochBlockStrategy : public PersistStrategy
+class EpochBlockStrategy : public CommitFlagStrategy
 {
   public:
-    EpochBlockStrategy(Device &dev, const LaunchConfig &launch)
-        : flags_(dev, launch)
-    {
-    }
+    using CommitFlagStrategy::CommitFlagStrategy;
 
     PersistModel
     model() const override
@@ -132,16 +155,7 @@ class EpochBlockStrategy : public PersistStrategy
         return PersistModel::EpochBlock;
     }
 
-    void
-    prepare(ThreadCtx &, PersistAccum &, Addr, uint32_t) override
-    {
-    }
-
-    void
-    publish(ThreadCtx &t, Addr addr) override
-    {
-        t.clwb(addr);
-    }
+    void publish(ThreadCtx &t, Addr addr) override { t.clwb(addr); }
 
     void
     regionEnd(ThreadCtx &t, PersistAccum &) override
@@ -149,30 +163,8 @@ class EpochBlockStrategy : public PersistStrategy
         // Close the epoch: drain this thread's flushes, then commit.
         t.persistBarrier();
         t.syncthreads();
-        if (t.flatThreadIdx() == 0) {
-            Addr flag = flags_.flagAddr(t.blockRank());
-            t.storeAddr<uint32_t>(flag, 1);
-            t.clwb(flag);
-            t.persistBarrier();
-        }
+        commit(t, /*fence=*/true);
     }
-
-    bool
-    isCommittedHost(uint64_t block) const override
-    {
-        return flags_.isCommittedHost(block);
-    }
-
-    void reset() override { flags_.reset(); }
-
-    uint64_t
-    footprintBytes() const override
-    {
-        return flags_.footprintBytes();
-    }
-
-  private:
-    CommitFlags flags_;
 };
 
 /**
@@ -183,13 +175,10 @@ class EpochBlockStrategy : public PersistStrategy
  * within the epoch (see docs/PERSISTENCY_MODELS.md for the window the
  * simulator's synchronous clwb does not model).
  */
-class EpochKernelStrategy : public PersistStrategy
+class EpochKernelStrategy : public CommitFlagStrategy
 {
   public:
-    EpochKernelStrategy(Device &dev, const LaunchConfig &launch)
-        : flags_(dev, launch)
-    {
-    }
+    using CommitFlagStrategy::CommitFlagStrategy;
 
     PersistModel
     model() const override
@@ -197,53 +186,24 @@ class EpochKernelStrategy : public PersistStrategy
         return PersistModel::EpochKernel;
     }
 
-    void
-    prepare(ThreadCtx &, PersistAccum &, Addr, uint32_t) override
-    {
-    }
-
-    void
-    publish(ThreadCtx &t, Addr addr) override
-    {
-        t.clwb(addr);
-    }
+    void publish(ThreadCtx &t, Addr addr) override { t.clwb(addr); }
 
     void
     regionEnd(ThreadCtx &t, PersistAccum &) override
     {
         t.syncthreads();
-        if (t.flatThreadIdx() == 0) {
-            Addr flag = flags_.flagAddr(t.blockRank());
-            t.storeAddr<uint32_t>(flag, 1);
-            t.clwb(flag);
-        }
+        commit(t, /*fence=*/false);
     }
-
-    bool
-    isCommittedHost(uint64_t block) const override
-    {
-        return flags_.isCommittedHost(block);
-    }
-
-    void reset() override { flags_.reset(); }
-
-    uint64_t
-    footprintBytes() const override
-    {
-        return flags_.footprintBytes();
-    }
-
-  private:
-    CommitFlags flags_;
 };
 
 /** Eager persistency as a strategy: delegates to EpRuntime. */
-class EagerStrategy : public PersistStrategy
+class EagerStrategy : public FlagStrategy
 {
   public:
-    EagerStrategy(Device &dev, const LaunchConfig &launch,
+    EagerStrategy(Device &dev, const LpConfig &cfg,
+                  const LaunchConfig &launch,
                   uint64_t undo_entries_per_thread)
-        : ep_(dev, launch, undo_entries_per_thread)
+        : FlagStrategy(cfg), ep_(dev, launch, undo_entries_per_thread)
     {
     }
 
@@ -256,11 +216,7 @@ class EagerStrategy : public PersistStrategy
         ep_.logOldValue(t, acc.undo, addr, bytes);
     }
 
-    void
-    publish(ThreadCtx &t, Addr addr) override
-    {
-        t.clwb(addr);
-    }
+    void publish(ThreadCtx &t, Addr addr) override { t.clwb(addr); }
 
     void
     regionEnd(ThreadCtx &t, PersistAccum &) override
@@ -278,151 +234,45 @@ class EagerStrategy : public PersistStrategy
 
     void reset() override { ep_.reset(); }
 
-    uint64_t footprintBytes() const override
+    uint64_t
+    footprintBytes() const override
     {
         return ep_.footprintBytes();
     }
 
-    EpRuntime &runtime() { return ep_; }
-
   private:
     EpRuntime ep_;
 };
+
+std::unique_ptr<PersistStrategy>
+makeStrategy(Device &dev, const LpConfig &cfg, const LaunchConfig &launch,
+             uint64_t undo_entries_per_thread)
+{
+    switch (cfg.persist) {
+      case PersistModel::Lazy:
+        return std::make_unique<LpRuntime>(dev, cfg, launch);
+      case PersistModel::Eager:
+        return std::make_unique<EagerStrategy>(dev, cfg, launch,
+                                               undo_entries_per_thread);
+      case PersistModel::Strict:
+        return std::make_unique<StrictStrategy>(dev, cfg, launch);
+      case PersistModel::EpochBlock:
+        return std::make_unique<EpochBlockStrategy>(dev, cfg, launch);
+      case PersistModel::EpochKernel:
+        return std::make_unique<EpochKernelStrategy>(dev, cfg, launch);
+    }
+    GPULP_PANIC("bad PersistModel");
+}
 
 } // namespace
 
 PersistRuntime::PersistRuntime(Device &dev, const LpConfig &cfg,
                                const LaunchConfig &launch,
                                uint64_t undo_entries_per_thread)
-    : dev_(dev), cfg_(cfg), launch_(launch)
+    : strategy_(makeStrategy(dev, cfg, launch, undo_entries_per_thread))
 {
-    switch (cfg_.persist) {
-      case PersistModel::Lazy:
-        lp_ = std::make_unique<LpRuntime>(dev_, cfg_, launch_);
-        break;
-      case PersistModel::Eager:
-        strategy_ = std::make_unique<EagerStrategy>(
-            dev_, launch_, undo_entries_per_thread);
-        break;
-      case PersistModel::Strict:
-        strategy_ = std::make_unique<StrictStrategy>(dev_, launch_);
-        break;
-      case PersistModel::EpochBlock:
-        strategy_ = std::make_unique<EpochBlockStrategy>(dev_, launch_);
-        break;
-      case PersistModel::EpochKernel:
-        strategy_ = std::make_unique<EpochKernelStrategy>(dev_, launch_);
-        break;
-    }
 }
 
 PersistRuntime::~PersistRuntime() = default;
-
-LpContext
-PersistRuntime::context()
-{
-    if (lp_)
-        return lp_->context();
-    LpContext ctx;
-    ctx.cfg = &cfg_;
-    ctx.strategy = strategy_.get();
-    return ctx;
-}
-
-void
-PersistRuntime::reset()
-{
-    if (lp_)
-        lp_->reset();
-    else
-        strategy_->reset();
-}
-
-uint64_t
-PersistRuntime::footprintBytes() const
-{
-    return lp_ ? lp_->footprintBytes() : strategy_->footprintBytes();
-}
-
-RecoveryReport
-persistRecover(Device &dev, const LaunchConfig &cfg,
-               PersistStrategy &strategy, const KernelFn &region_kernel,
-               uint64_t max_rounds)
-{
-    RecoverySet failed(dev, cfg.numBlocks());
-
-    RecoveryReport report;
-    report.blocks_checked = cfg.numBlocks();
-    bool first_classification = true;
-
-    // Resolve the power failure before reading any durable state (the
-    // persistence domain is frozen while the latch is pending).
-    if (dev.nvm() && dev.nvm()->crashPending())
-        dev.nvm()->crash();
-
-    while (report.rounds < max_rounds) {
-        ++report.rounds;
-        obs::add(obs::Ctr::RecoveryRounds);
-        obs::TraceSpan round_span("recovery_round", "persist_recovery",
-                                  report.rounds, "round");
-
-        // Models with logs undo uncommitted damage first (eager);
-        // resolves any crash that latched during the previous round.
-        strategy.rollback();
-
-        // Classify on the host from the durable commit flags — the
-        // models' whole validation verdict.
-        failed.clearAll();
-        for (uint64_t b = 0; b < cfg.numBlocks(); ++b) {
-            if (!strategy.isCommittedHost(b))
-                failed.markFailedHost(b);
-        }
-        uint64_t round_failed = failed.failedCount();
-        obs::add(obs::Ctr::RecoveryBlocksFlagged, round_failed);
-        obs::observe(obs::Hist::RecoveryRoundFlagged, round_failed);
-        if (first_classification) {
-            report.blocks_failed = round_failed;
-            first_classification = false;
-        }
-        if (round_failed == 0) {
-            report.converged = true;
-            obs::add(obs::Ctr::RecoveryConverged);
-            break;
-        }
-
-        // Re-execute only the failed (idempotent) blocks; the kernel
-        // body re-commits through its strategy's regionEnd.
-        LaunchResult recover = [&] {
-            obs::TraceSpan span("recover", "persist_recovery",
-                                round_failed, "blocks");
-            return dev.launch(cfg, [&](ThreadCtx &t) {
-                if (!failed.isFailed(t, t.blockRank()))
-                    return;
-                region_kernel(t);
-            });
-        }();
-        report.recover_cycles += recover.cycles;
-        if (recover.crashed) {
-            // A second failure mid-recovery: absorb it and reclassify
-            // from the rewound image (the next round's rollback() sees
-            // the pending latch too, but resolve it here so the loop
-            // invariant — durable state only — holds at the top).
-            ++report.crashes_survived;
-            obs::add(obs::Ctr::RecoveryCrashesSurvived);
-            dev.nvm()->crash();
-            continue;
-        }
-        report.blocks_recovered += round_failed;
-        obs::add(obs::Ctr::RecoveryBlocksReexecuted, round_failed);
-
-        // Checkpoint for forward progress, as in the lazy driver.
-        if (dev.nvm())
-            dev.nvm()->persistAll();
-    }
-
-    if (dev.nvm() && !dev.nvm()->crashPending())
-        dev.nvm()->persistAll();
-    return report;
-}
 
 } // namespace gpulp

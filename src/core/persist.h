@@ -28,13 +28,14 @@
  * CAS — get the same coverage as plain stores. regionEnd() closes the
  * block's region/epoch (collective).
  *
- * Host-side, every non-lazy strategy exposes the same recovery
- * contract the LP path has: a durable per-block commit verdict
- * (isCommittedHost, read through the NVM view, never the volatile
- * arena), an optional rollback() (eager's undo), and reset().
- * persistRecover() is the model-generic recovery driver mirroring
- * lpValidateAndRecover(). Normative semantics and the guarantee each
- * model earns: docs/PERSISTENCY_MODELS.md.
+ * Host-side, every strategy answers the same recovery contract: a
+ * classify() hook that marks the blocks whose region must re-execute
+ * (lazy launches the workload's checksum validation kernel; the other
+ * models read their durable per-block commit flags through the NVM
+ * view, never the volatile arena), an optional rollback() (eager's
+ * undo), and reset(). persistRecover() (core/recovery.h) is the one
+ * recovery driver for all five models. Normative semantics and the
+ * guarantee each model earns: docs/PERSISTENCY_MODELS.md.
  */
 
 #ifndef GPULP_CORE_PERSIST_H
@@ -44,7 +45,6 @@
 
 #include "core/eager.h"
 #include "core/recovery.h"
-#include "core/runtime.h"
 
 namespace gpulp {
 
@@ -62,15 +62,23 @@ struct PersistAccum {
 /**
  * One persistency model's store + commit + recovery protocol.
  * Instances are per-kernel (they own per-block commit state sized for
- * the launch); obtain them through PersistRuntime.
+ * the launch); obtain them through PersistRuntime. LpRuntime is the
+ * lazy model.
  */
 class PersistStrategy
 {
   public:
+    PersistStrategy() = default;
+    // Kernels hold the strategy's address through LpContext.
+    PersistStrategy(const PersistStrategy &) = delete;
+    PersistStrategy &operator=(const PersistStrategy &) = delete;
     virtual ~PersistStrategy() = default;
 
     /** Model this strategy implements. */
     virtual PersistModel model() const = 0;
+
+    /** The context kernels capture; its strategy is this object. */
+    virtual LpContext context() = 0;
 
     // Device-side protocol ---------------------------------------------------
 
@@ -86,11 +94,20 @@ class PersistStrategy
      *  line. Counterpart of prepare() for atomics. */
     virtual void publish(ThreadCtx &t, Addr addr) = 0;
 
+    /**
+     * Fold @p bits into the block's region checksum. Only lazy keeps
+     * one (its commit evidence); the flush-based models' stores are
+     * their own evidence, so this is a no-op for them. For values a
+     * kernel folds apart from its store sites (MEGA-KV's post-state).
+     */
+    virtual void fold(ThreadCtx &, PersistAccum &, uint32_t) {}
+
     /** Close the block's region/epoch and commit durably. Collective. */
     virtual void regionEnd(ThreadCtx &t, PersistAccum &acc) = 0;
 
-    /** prepare + 32-bit store + publish. */
-    void
+    /** Protected 32-bit store: prepare + store + publish (lazy: store
+     *  + fold). One virtual call per store on every model. */
+    virtual void
     store32(ThreadCtx &t, PersistAccum &acc, Addr addr, uint32_t bits)
     {
         prepare(t, acc, addr, 4);
@@ -98,8 +115,8 @@ class PersistStrategy
         publish(t, addr);
     }
 
-    /** prepare + 16-bit store + publish. */
-    void
+    /** Protected 16-bit store; lazy folds the zero-extended value. */
+    virtual void
     store16(ThreadCtx &t, PersistAccum &acc, Addr addr, uint16_t bits)
     {
         prepare(t, acc, addr, 2);
@@ -107,8 +124,8 @@ class PersistStrategy
         publish(t, addr);
     }
 
-    /** prepare + float store + publish. */
-    void
+    /** Protected float store. */
+    virtual void
     storeF(ThreadCtx &t, PersistAccum &acc, Addr addr, float value)
     {
         prepare(t, acc, addr, 4);
@@ -118,8 +135,19 @@ class PersistStrategy
 
     // Host-side recovery contract --------------------------------------------
 
-    /** True if @p block's region committed *durably* (NVM view). */
-    virtual bool isCommittedHost(uint64_t block) const = 0;
+    /**
+     * The model's failure verdict on the durable image: mark in
+     * @p failed (cleared by the caller) every block whose region must
+     * re-execute. Lazy launches @p validate over @p launch — the
+     * workload's checksum validation kernel — and returns that launch,
+     * whose cycles recovery charges as validate_cycles and which a
+     * second crash may abort. The other models read each block's
+     * durable commit flag on the host, ignore @p validate and return
+     * an empty (0-cycle, uncrashed) result.
+     */
+    virtual LaunchResult classify(Device &dev, const LaunchConfig &launch,
+                                  const ValidateFn &validate,
+                                  RecoverySet &failed) = 0;
 
     /**
      * Undo the side effects of uncommitted regions where the model
@@ -137,10 +165,10 @@ class PersistStrategy
 };
 
 /**
- * Host facade over the whole model matrix: constructs the machinery
- * the configured PersistModel needs (LpRuntime for lazy, EpRuntime for
+ * Host facade over the whole model matrix: constructs the strategy the
+ * configured PersistModel selects (LpRuntime for lazy, EpRuntime for
  * eager, durable commit flags for strict/epoch) and hands kernels a
- * ready LpContext. The model-generic superset of LpRuntime.
+ * ready LpContext.
  */
 class PersistRuntime
 {
@@ -157,30 +185,27 @@ class PersistRuntime
                    uint64_t undo_entries_per_thread = 8);
     ~PersistRuntime();
 
-    /** The context kernels capture (strategy set iff model != Lazy). */
-    LpContext context();
+    /** The context kernels capture. */
+    LpContext context() { return strategy_->context(); }
 
     /** Model in force. */
-    PersistModel model() const { return cfg_.persist; }
+    PersistModel model() const { return strategy_->model(); }
 
-    /** Active strategy, or nullptr under the lazy model. */
+    /** Active strategy (never null). */
     PersistStrategy *strategy() { return strategy_.get(); }
 
-    /** Lazy machinery, or nullptr under a non-lazy model. */
-    LpRuntime *lazy() { return lp_.get(); }
-
     /** Clear (and durably persist) all persistency metadata. */
-    void reset();
+    void reset() { strategy_->reset(); }
 
     /** Device-memory footprint of the model's metadata. */
-    uint64_t footprintBytes() const;
+    uint64_t
+    footprintBytes() const
+    {
+        return strategy_->footprintBytes();
+    }
 
   private:
-    Device &dev_;
-    LpConfig cfg_;
-    LaunchConfig launch_;
-    std::unique_ptr<LpRuntime> lp_;          //!< Lazy only
-    std::unique_ptr<PersistStrategy> strategy_; //!< non-lazy only
+    std::unique_ptr<PersistStrategy> strategy_;
 };
 
 /** Fresh per-thread accumulator for whatever model @p lp selects
@@ -194,86 +219,51 @@ makePersistAccum(const LpContext *lp)
     return acc;
 }
 
-/** True when @p lp protects this kernel with the *lazy* model — i.e.
- *  checksum folds are live. Baseline and strategy runs return false. */
-inline bool
-lazyProtected(const LpContext *lp)
-{
-    return lp != nullptr && lp->strategy == nullptr;
-}
-
 /**
- * Model-dispatched persistent float store: plain store for baseline,
- * store + checksum fold for lazy, the strategy protocol otherwise.
- * Byte- and timing-identical to the open-coded store+protectFloat
- * sequence under baseline/lazy.
+ * Persistent float store: plain store for the un-protected baseline
+ * (@p lp null), the strategy's protected store otherwise (lazy: store
+ * + checksum fold).
  */
 inline void
 persistStoreF(ThreadCtx &t, const LpContext *lp, PersistAccum &acc,
               ArrayRef<float> arr, uint64_t idx, float value)
 {
-    if (lp && lp->strategy) {
-        lp->strategy->storeF(t, acc, arr.addrOf(idx), value);
-        return;
-    }
-    t.store(arr, idx, value);
     if (lp)
-        acc.checksums.protectFloat(t, value);
+        lp->strategy->storeF(t, acc, arr.addrOf(idx), value);
+    else
+        t.store(arr, idx, value);
 }
 
-/** Model-dispatched persistent 32-bit store. */
+/** Persistent 32-bit store. */
 inline void
 persistStoreU32(ThreadCtx &t, const LpContext *lp, PersistAccum &acc,
                 ArrayRef<uint32_t> arr, uint64_t idx, uint32_t value)
 {
-    if (lp && lp->strategy) {
-        lp->strategy->store32(t, acc, arr.addrOf(idx), value);
-        return;
-    }
-    t.store(arr, idx, value);
     if (lp)
-        acc.checksums.protectU32(t, value);
+        lp->strategy->store32(t, acc, arr.addrOf(idx), value);
+    else
+        t.store(arr, idx, value);
 }
 
-/** Model-dispatched persistent 16-bit store; folds the zero-extended
- *  value under lazy (SAD's uint16 output). */
+/** Persistent 16-bit store; lazy folds the zero-extended value (SAD's
+ *  uint16 output). */
 inline void
 persistStoreU16(ThreadCtx &t, const LpContext *lp, PersistAccum &acc,
                 ArrayRef<uint16_t> arr, uint64_t idx, uint16_t value)
 {
-    if (lp && lp->strategy) {
-        lp->strategy->store16(t, acc, arr.addrOf(idx), value);
-        return;
-    }
-    t.store(arr, idx, value);
     if (lp)
-        acc.checksums.protectU32(t, value);
-}
-
-/**
- * Model-dispatched store that lazy does NOT fold (MEGA-KV folds
- * post-state key/value pairs decoupled from its store sites); the
- * non-lazy strategies still owe the store full coverage.
- */
-inline void
-persistStoreU32NoFold(ThreadCtx &t, const LpContext *lp,
-                      PersistAccum &acc, ArrayRef<uint32_t> arr,
-                      uint64_t idx, uint32_t value)
-{
-    if (lp && lp->strategy) {
-        lp->strategy->store32(t, acc, arr.addrOf(idx), value);
-        return;
-    }
-    t.store(arr, idx, value);
+        lp->strategy->store16(t, acc, arr.addrOf(idx), value);
+    else
+        t.store(arr, idx, value);
 }
 
 /** Strategy prepare() for a mutation the caller performs itself (an
- *  atomic claim); no-op for baseline/lazy. Pair with persistPublish. */
+ *  atomic claim); no-op for the baseline. Pair with persistPublish. */
 inline void
 persistPrepare(ThreadCtx &t, const LpContext *lp, PersistAccum &acc,
                Addr addr, uint32_t bytes)
 {
-    if (lp && lp->strategy)
+    if (lp)
         lp->strategy->prepare(t, acc, addr, bytes);
 }
 
@@ -281,44 +271,42 @@ persistPrepare(ThreadCtx &t, const LpContext *lp, PersistAccum &acc,
 inline void
 persistPublish(ThreadCtx &t, const LpContext *lp, Addr addr)
 {
-    if (lp && lp->strategy)
+    if (lp)
         lp->strategy->publish(t, addr);
 }
 
-/** Model-dispatched end-of-region commit. Collective; no-op for the
- *  un-protected baseline. */
+/**
+ * Persistent store that lazy does NOT fold (MEGA-KV folds post-state
+ * key/value pairs apart from its store sites, see persistFold); the
+ * flush-based strategies still owe the store full coverage.
+ */
+inline void
+persistStoreU32NoFold(ThreadCtx &t, const LpContext *lp,
+                      PersistAccum &acc, ArrayRef<uint32_t> arr,
+                      uint64_t idx, uint32_t value)
+{
+    persistPrepare(t, lp, acc, arr.addrOf(idx), 4);
+    t.store(arr, idx, value);
+    persistPublish(t, lp, arr.addrOf(idx));
+}
+
+/** Strategy fold(): lazy folds @p bits into the region checksum; a
+ *  no-op for the baseline and the flush-based models. */
+inline void
+persistFold(ThreadCtx &t, const LpContext *lp, PersistAccum &acc,
+            uint32_t bits)
+{
+    if (lp)
+        lp->strategy->fold(t, acc, bits);
+}
+
+/** End-of-region commit. Collective; no-op for the baseline. */
 inline void
 persistRegionEnd(ThreadCtx &t, const LpContext *lp, PersistAccum &acc)
 {
-    if (!lp)
-        return;
-    if (lp->strategy) {
+    if (lp)
         lp->strategy->regionEnd(t, acc);
-        return;
-    }
-    lpCommitRegion(t, *lp, acc.checksums);
 }
-
-/**
- * Model-generic recovery driver for the non-lazy strategies, mirroring
- * lpValidateAndRecover(): resolve the pending power failure, roll back
- * what the model can (eager's undo log), host-classify each block's
- * durable commit flag, re-execute only the failed blocks through
- * @p region_kernel (which must be idempotent and end with
- * persistRegionEnd, i.e. the original kernel body), checkpoint, and
- * repeat until a classification pass finds zero uncommitted blocks.
- * Crashes striking mid-recovery are absorbed exactly as in the lazy
- * driver.
- *
- * Validation here is host-side flag inspection (the models' commit
- * flags are their whole verdict), so RecoveryReport::validate_cycles
- * stays 0 and blocks_failed counts the first pass's uncommitted
- * blocks.
- */
-RecoveryReport persistRecover(Device &dev, const LaunchConfig &cfg,
-                              PersistStrategy &strategy,
-                              const KernelFn &region_kernel,
-                              uint64_t max_rounds = 32);
 
 } // namespace gpulp
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "core/persist.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -24,16 +25,10 @@ RecoverySet::markFailed(ThreadCtx &t, uint64_t block)
 }
 
 bool
-RecoverySet::isFailed(ThreadCtx &t, uint64_t block) const
+RecoverySet::isFailedHost(uint64_t block) const
 {
     GPULP_ASSERT(block < num_blocks_, "block %llu out of range",
                  static_cast<unsigned long long>(block));
-    return t.loadAddr<uint32_t>(flags_ + block * 4) != 0;
-}
-
-bool
-RecoverySet::isFailedHost(uint64_t block) const
-{
     uint32_t flag;
     std::memcpy(&flag, dev_.mem().raw(flags_ + block * 4), 4);
     return flag != 0;
@@ -64,19 +59,20 @@ RecoverySet::failedCount() const
 }
 
 RecoveryReport
-lpValidateAndRecover(
-    Device &dev, const LaunchConfig &cfg, const LpContext &lp,
-    const std::function<void(ThreadCtx &, RecoverySet &)> &validate_kernel,
-    const std::function<void(ThreadCtx &, const RecoverySet &)>
-        &recover_kernel,
-    uint64_t max_rounds)
+persistRecover(Device &dev, const LaunchConfig &launch,
+               PersistStrategy &strategy, const ValidateFn &validate,
+               const KernelFn &region, uint64_t max_rounds)
 {
-    (void)lp;
-    RecoverySet failed(dev, cfg.numBlocks());
+    RecoverySet failed(dev, launch.numBlocks());
 
     RecoveryReport report;
-    report.blocks_checked = cfg.numBlocks();
-    bool first_validation = true;
+    report.blocks_checked = launch.numBlocks();
+    bool first_classification = true;
+
+    // Resolve the power failure before reading any durable state (the
+    // persistence domain is frozen while the latch is pending).
+    if (dev.nvm() && dev.nvm()->crashPending())
+        dev.nvm()->crash();
 
     while (report.rounds < max_rounds) {
         ++report.rounds;
@@ -84,18 +80,20 @@ lpValidateAndRecover(
         obs::TraceSpan round_span("recovery_round", "recovery",
                                   report.rounds, "round");
 
+        // Models with logs undo uncommitted damage first (eager);
+        // resolves any crash that latched during the previous round.
+        strategy.rollback();
+
         failed.clearAll();
-        LaunchResult validate = [&] {
+        LaunchResult verdict = [&] {
             obs::TraceSpan span("validate", "recovery", report.rounds,
                                 "round");
-            return dev.launch(cfg, [&](ThreadCtx &t) {
-                validate_kernel(t, failed);
-            });
+            return strategy.classify(dev, launch, validate, failed);
         }();
-        report.validate_cycles += validate.cycles;
-        if (validate.crashed) {
+        report.validate_cycles += verdict.cycles;
+        if (verdict.crashed) {
             // A second failure hit while revalidating. Rewind to the
-            // last persisted image (the eager checkpoint) and retry.
+            // last persisted image (the round checkpoint) and retry.
             ++report.crashes_survived;
             obs::add(obs::Ctr::RecoveryCrashesSurvived);
             dev.nvm()->crash();
@@ -105,11 +103,11 @@ lpValidateAndRecover(
         uint64_t round_failed = failed.failedCount();
         obs::add(obs::Ctr::RecoveryBlocksFlagged, round_failed);
         obs::observe(obs::Hist::RecoveryRoundFlagged, round_failed);
-        if (first_validation) {
+        if (first_classification) {
             // The damage the original crash caused; later rounds only
             // shrink it, so this is what reports and tests care about.
             report.blocks_failed = round_failed;
-            first_validation = false;
+            first_classification = false;
         }
         if (round_failed == 0) {
             report.converged = true;
@@ -117,11 +115,14 @@ lpValidateAndRecover(
             break;
         }
 
+        // Re-execute only the failed (idempotent) blocks; the kernel
+        // body re-commits through the model's region end.
         LaunchResult recover = [&] {
             obs::TraceSpan span("recover", "recovery", round_failed,
                                 "blocks");
-            return dev.launch(cfg, [&](ThreadCtx &t) {
-                recover_kernel(t, failed);
+            return dev.launch(launch, [&](ThreadCtx &t) {
+                if (failed.isFailedHost(t.blockRank()))
+                    region(t);
             });
         }();
         report.recover_cycles += recover.cycles;
@@ -134,11 +135,11 @@ lpValidateAndRecover(
         report.blocks_recovered += round_failed;
         obs::add(obs::Ctr::RecoveryBlocksReexecuted, round_failed);
 
-        // Eager recovery: persist the recovered state so forward
-        // progress holds even if another crash strikes immediately.
-        // (If a crash latched in the window since the recovery launch
-        // completed, persistAll() is a frozen no-op and the next
-        // validation round absorbs the crash instead.)
+        // Checkpoint the recovered state so forward progress holds
+        // even if another crash strikes immediately. (If a crash
+        // latched in the window since the recovery launch completed,
+        // persistAll() is a frozen no-op and the next round absorbs
+        // the crash instead.)
         if (dev.nvm())
             dev.nvm()->persistAll();
     }

@@ -1,19 +1,23 @@
 /**
  * @file
- * Crash-recovery support: the per-block failed set and the eager
- * recovery driver (Sec. II-A, Sec. IV-A and Listing 7).
+ * Crash-recovery support: the per-block failed set and the recovery
+ * driver shared by every persistency model (Sec. II-A, Sec. IV-A and
+ * Listing 7).
  *
- * Recovery after a crash proceeds in two kernels, as in the paper:
+ * Recovery after a crash proceeds in two steps, as in the paper:
  *
- *  1. a validation kernel with the original grid dimensions recomputes
- *     every block's checksum from the data found in memory and compares
- *     it with the checksum table — failing blocks are marked in a
- *     RecoverySet;
+ *  1. classification marks the blocks whose region must re-execute in
+ *     a RecoverySet. Under lazy persistency this is a validation
+ *     kernel with the original grid dimensions that recomputes every
+ *     block's checksum from the data found in memory and compares it
+ *     with the checksum table; the flush-based models read their
+ *     durable per-block commit flags on the host instead;
  *  2. a recovery kernel re-executes only the failed (idempotent)
- *     blocks, re-committing their checksums.
+ *     blocks, re-committing them.
  *
- * Eager recovery then persists everything (whole-cache flush) so that
- * forward progress is guaranteed even if another crash follows.
+ * After every completed round the driver persists everything
+ * (whole-cache flush), so forward progress is guaranteed even if
+ * another crash follows.
  */
 
 #ifndef GPULP_CORE_RECOVERY_H
@@ -42,14 +46,11 @@ class RecoverySet
     /** Device-side: mark this block as needing recovery. */
     void markFailed(ThreadCtx &t, uint64_t block);
 
-    /** Device-side: check a block's flag (timed load). */
-    bool isFailed(ThreadCtx &t, uint64_t block) const;
-
-    /** Host-side flag read for reporting. */
+    /** Host-side flag read; the recovery driver's re-execution test. */
     bool isFailedHost(uint64_t block) const;
 
-    /** Host-side: mark a block failed (non-lazy recovery drivers
-     *  classify commit flags on the host before re-execution). */
+    /** Host-side: mark a block failed (the commit-flag models classify
+     *  on the host before re-execution). */
     void markFailedHost(uint64_t block);
 
     /** Host-side: clear all flags. */
@@ -76,45 +77,52 @@ struct RecoveryReport {
     bool converged = false;       //!< a full validation found 0 failures
 };
 
+/** Validation kernel body: recompute the block's verdict from the
+ *  data in memory and mark failures in the set (collective). */
+using ValidateFn = std::function<void(ThreadCtx &, RecoverySet &)>;
+
+class PersistStrategy; // core/persist.h
+
 /**
- * Run the full eager-recovery protocol.
+ * The recovery driver, for every persistency model.
  *
- * The driver loops validate -> recover -> persistAll until a complete
- * validation pass reports zero failed blocks. A crash that strikes
- * *during* recovery (the second failure the eager protocol is designed
- * for, Sec. IV-A) is absorbed: the NVM model rewinds to the last
- * persisted image and the loop revalidates from there. The eager
- * persistAll() checkpoint after every recovery round guarantees
- * forward progress — each completed round durably shrinks the failed
- * set, so the loop terminates unless crashes re-arm forever.
+ * Each round resolves a pending power failure, lets the model roll
+ * back what it can (eager's undo log), classifies through
+ * PersistStrategy::classify(), re-executes only the failed blocks
+ * through @p region, and persists everything (whole-cache flush). It
+ * loops until a classification pass finds zero failed blocks. A crash
+ * that strikes *during* recovery (the second failure the protocol is
+ * designed for, Sec. IV-A) is absorbed: the NVM model rewinds to the
+ * last persisted image and the loop reclassifies from there. The
+ * flush after every completed round guarantees forward progress —
+ * each round durably shrinks the failed set, so the loop terminates
+ * unless crashes re-arm forever.
  *
  * @param dev The device (the NVM model should already have rewound
- *            memory to the persisted image via NvmCache::crash()).
- * @param cfg Grid/block dimensions of the original kernel.
- * @param lp The LP context the original kernel committed through.
- * @param validate_kernel Collective kernel body that recomputes the
- *        block's checksums from memory and calls lpValidateRegion();
- *        it must mark failures in the provided RecoverySet. Signature
- *        matches KernelFn with the set passed by the driver.
- * @param recover_kernel Kernel body that re-executes a block's work
- *        (including lpCommitRegion) when its flag is set and returns
- *        immediately otherwise.
- * @param max_rounds Safety cap on validate/recover rounds; when it is
- *        hit the report comes back with converged == false instead of
- *        looping forever (a store that cannot round-trip a checksum —
- *        e.g. the pre-fix global-array sentinel bug — would otherwise
- *        livelock recovery).
+ *            memory to the persisted image via NvmCache::crash(); a
+ *            still-pending latch is resolved first).
+ * @param launch Grid/block dimensions of the original kernel.
+ * @param strategy The model the original kernel committed through.
+ * @param validate Validation kernel body; only lazy launches it
+ *        (lpValidateRegion() per block, marking failures). The other
+ *        models classify from commit flags and may pass {}.
+ * @param region The original kernel body, run only on failed blocks;
+ *        it must be idempotent and end with the model's region commit
+ *        (persistRegionEnd / lpCommitRegion).
+ * @param max_rounds Safety cap on rounds; when it is hit the report
+ *        comes back with converged == false instead of looping forever
+ *        (a store that cannot round-trip a checksum — e.g. the pre-fix
+ *        global-array sentinel bug — would otherwise livelock).
  * @return Counts and cycle costs across all rounds. blocks_failed is
- *         the failed count of the *first complete* validation pass —
+ *         the failed count of the *first complete* classification —
  *         the damage the crash actually caused — not the sum over
- *         rounds.
+ *         rounds. validate_cycles is 0 for the commit-flag models.
  */
-RecoveryReport lpValidateAndRecover(
-    Device &dev, const LaunchConfig &cfg, const LpContext &lp,
-    const std::function<void(ThreadCtx &, RecoverySet &)> &validate_kernel,
-    const std::function<void(ThreadCtx &, const RecoverySet &)>
-        &recover_kernel,
-    uint64_t max_rounds = 32);
+RecoveryReport persistRecover(Device &dev, const LaunchConfig &launch,
+                              PersistStrategy &strategy,
+                              const ValidateFn &validate,
+                              const KernelFn &region,
+                              uint64_t max_rounds = 32);
 
 } // namespace gpulp
 

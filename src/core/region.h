@@ -43,15 +43,15 @@ class PersistStrategy; // core/persist.h
  * checksum store, and the global scratch used by sequential reduction.
  * Plain aggregate; cheap to capture in kernel lambdas.
  *
- * When a non-lazy persistency model is selected, @ref strategy is set
- * and the persistStore* helpers (core/persist.h) route stores through
- * it instead of folding checksums; kernels written against those
- * helpers run unchanged under every model.
+ * @ref strategy is the persistency model in force (LpRuntime for lazy)
+ * and is set on every protected run; the persistStore* helpers
+ * (core/persist.h) route stores through it, so kernels written against
+ * those helpers run unchanged under every model.
  */
 struct LpContext {
     const LpConfig *cfg = nullptr;
     ChecksumStore *store = nullptr;
-    PersistStrategy *strategy = nullptr; //!< non-null iff model != Lazy
+    PersistStrategy *strategy = nullptr; //!< the model; never null
     ArrayRef<uint64_t> scratch; //!< valid only for SequentialGlobal
 
     /** Fresh accumulator with the configured checksum kind. */

@@ -6,7 +6,7 @@ namespace gpulp {
 
 LpRuntime::LpRuntime(Device &dev, const LpConfig &cfg,
                      const LaunchConfig &launch)
-    : dev_(dev), cfg_(cfg), launch_(launch)
+    : dev_(dev), cfg_(cfg)
 {
     store_ = makeChecksumStore(dev_, cfg_, launch.numBlocks());
     if (cfg_.reduction == ReductionKind::SequentialGlobal) {
@@ -21,8 +21,24 @@ LpRuntime::context()
     LpContext ctx;
     ctx.cfg = &cfg_;
     ctx.store = store_.get();
+    ctx.strategy = this;
     ctx.scratch = scratch_;
     return ctx;
+}
+
+void
+LpRuntime::regionEnd(ThreadCtx &t, PersistAccum &acc)
+{
+    lpCommitRegion(t, context(), acc.checksums);
+}
+
+LaunchResult
+LpRuntime::classify(Device &dev, const LaunchConfig &launch,
+                    const ValidateFn &validate, RecoverySet &failed)
+{
+    GPULP_ASSERT(validate, "lazy recovery needs a validation kernel");
+    return dev.launch(launch,
+                      [&](ThreadCtx &t) { validate(t, failed); });
 }
 
 uint64_t

@@ -5,7 +5,10 @@
  * This is the runtime the paper's `#pragma nvm lpcuda_init` directive
  * lowers to: it owns the checksum store sized for the kernel's grid,
  * allocates reduction scratch when the configuration needs it, and
- * hands kernels a ready LpContext.
+ * hands kernels a ready LpContext. It is also the lazy model's
+ * PersistStrategy: stores fold into the per-thread checksum, the
+ * region end commits it, and recovery classifies with the workload's
+ * validation kernel.
  */
 
 #ifndef GPULP_CORE_RUNTIME_H
@@ -14,8 +17,7 @@
 #include <memory>
 
 #include "core/checksum_store.h"
-#include "core/region.h"
-#include "sim/device.h"
+#include "core/persist.h"
 
 namespace gpulp {
 
@@ -23,7 +25,7 @@ namespace gpulp {
  * Per-kernel LP state: create one next to each LP-protected kernel
  * launch (matching the one-lpcuda_init-per-region rule of Sec. VI).
  */
-class LpRuntime
+class LpRuntime final : public PersistStrategy
 {
   public:
     /**
@@ -35,8 +37,10 @@ class LpRuntime
      */
     LpRuntime(Device &dev, const LpConfig &cfg, const LaunchConfig &launch);
 
+    PersistModel model() const override { return PersistModel::Lazy; }
+
     /** The context kernels capture. */
-    LpContext context();
+    LpContext context() override;
 
     /** The underlying checksum store. */
     ChecksumStore &store() { return *store_; }
@@ -44,19 +48,62 @@ class LpRuntime
     /** Configuration in force. */
     const LpConfig &config() const { return cfg_; }
 
+    // Device-side protocol: no flushes, checksum folds only.
+
+    void prepare(ThreadCtx &, PersistAccum &, Addr, uint32_t) override {}
+
+    void publish(ThreadCtx &, Addr) override {}
+
+    void
+    fold(ThreadCtx &t, PersistAccum &acc, uint32_t bits) override
+    {
+        acc.checksums.protectU32(t, bits);
+    }
+
+    void
+    store32(ThreadCtx &t, PersistAccum &acc, Addr addr,
+            uint32_t bits) override
+    {
+        t.storeAddr<uint32_t>(addr, bits);
+        acc.checksums.protectU32(t, bits);
+    }
+
+    void
+    store16(ThreadCtx &t, PersistAccum &acc, Addr addr,
+            uint16_t bits) override
+    {
+        t.storeAddr<uint16_t>(addr, bits);
+        acc.checksums.protectU32(t, bits);
+    }
+
+    void
+    storeF(ThreadCtx &t, PersistAccum &acc, Addr addr,
+           float value) override
+    {
+        t.storeAddr<float>(addr, value);
+        acc.checksums.protectFloat(t, value);
+    }
+
+    /** lpCommitRegion() on the block's folded checksums. */
+    void regionEnd(ThreadCtx &t, PersistAccum &acc) override;
+
+    /** Launch @p validate: the checksum validation kernel. */
+    LaunchResult classify(Device &dev, const LaunchConfig &launch,
+                          const ValidateFn &validate,
+                          RecoverySet &failed) override;
+
     /**
      * Bytes of device memory this LP instance adds (checksum store +
      * scratch) — the numerator of Table V's space overhead.
      */
-    uint64_t footprintBytes() const;
+    uint64_t footprintBytes() const override;
 
     /** Clear the store (and scratch) for a fresh run. */
-    void reset();
+    void reset() override;
 
   private:
     Device &dev_;
     LpConfig cfg_;
-    LaunchConfig launch_;
     std::unique_ptr<ChecksumStore> store_;
     ArrayRef<uint64_t> scratch_;
 };

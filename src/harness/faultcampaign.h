@@ -18,8 +18,9 @@
  *     byte-diffs every block's persistent output against the golden
  *     run — ground truth for which blocks are actually corrupt;
  *  4. classifies each block by crossing the ground truth with the
- *     model's own failure verdict (lazy: the checksum validation
- *     kernel; eager/strict/epoch: the durable per-block commit flag):
+ *     model's own failure verdict, PersistStrategy::classify() (lazy:
+ *     the checksum validation kernel; eager/strict/epoch: the durable
+ *     per-block commit flag):
  *       - true fail:   corrupt and flagged (recovery will repair it);
  *       - false fail:  intact but flagged (checksum entry or commit
  *                      flag did not persist; wasted re-execution,
@@ -27,9 +28,8 @@
  *       - false pass:  corrupt but NOT flagged — silent corruption,
  *                      the one outcome that breaks the model's
  *                      guarantee;
- *  5. runs the model's crash-tolerant recovery driver
- *     (lpValidateAndRecover for lazy, persistRecover — with undo-log
- *     rollback for eager — otherwise) and re-diffs the recovered
+ *  5. runs the crash-tolerant recovery driver, persistRecover()
+ *     (with undo-log rollback for eager), and re-diffs the recovered
  *     output against golden.
  *
  * A campaign passes iff every trial converged with zero false-passes
@@ -54,7 +54,6 @@ namespace gpulp {
 
 class Device;
 class GlobalMemory;
-class PersistStrategy;
 class Prng;
 class Workload;
 struct LpContext;
@@ -245,25 +244,15 @@ struct BlockClassification {
 
 /**
  * Ground-truth classification of the image currently in @p dev's
- * arena: byte-diff every block's spans against @p golden_blocks, run
- * one validation pass, and cross the two verdicts.
+ * arena: byte-diff every block's spans against @p golden_blocks, ask
+ * the model in @p ctx for its failure verdict once
+ * (PersistStrategy::classify(): lazy runs one validation pass, the
+ * commit-flag models read their *durable* flags — exactly what
+ * recovery would decide after a reboot), and cross the two verdicts.
  */
 BlockClassification classifyAgainstGolden(
     Device &dev, const LaunchConfig &launch, Workload &w,
     const LpContext &ctx,
-    const std::vector<std::vector<OutputSpan>> &block_spans,
-    const std::vector<std::vector<uint8_t>> &golden_blocks);
-
-/**
- * Ground-truth classification for the commit-flag models (eager,
- * strict, epoch-*): byte-diff every block's spans against
- * @p golden_blocks and cross with @p strategy's *durable* commit
- * verdict — a block is flagged iff its flag is absent from the
- * persisted image, exactly what recovery would decide after a reboot.
- */
-BlockClassification classifyByCommitFlags(
-    Device &dev, const LaunchConfig &launch,
-    const PersistStrategy &strategy,
     const std::vector<std::vector<OutputSpan>> &block_spans,
     const std::vector<std::vector<uint8_t>> &golden_blocks);
 

@@ -262,21 +262,19 @@ KvServer::replayBatch(const Batch &batch, ServeReport &report)
     GPULP_ASSERT(isMutation(batch.type), "search batches are not replayed");
     stageBatch(batch);
     LpContext ctx = runtimes_[batch.slot]->context();
-    RecoveryReport rr = lpValidateAndRecover(
-        dev_, kv_.launchConfig(), ctx,
+    RecoveryReport rr = persistRecover(
+        dev_, kv_.launchConfig(), *ctx.strategy,
         [&](ThreadCtx &t, RecoverySet &failed) {
             if (batch.type == OpType::Insert)
                 kv_.validateInserts(t, ctx, failed);
             else
                 kv_.validateErases(t, ctx, failed);
         },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank())) {
-                if (batch.type == OpType::Insert)
-                    kv_.insertKernel(t, &ctx);
-                else
-                    kv_.eraseKernel(t, &ctx);
-            }
+        [&](ThreadCtx &t) {
+            if (batch.type == OpType::Insert)
+                kv_.insertKernel(t, &ctx);
+            else
+                kv_.eraseKernel(t, &ctx);
         });
     const Cycles cycles = rr.validate_cycles + rr.recover_cycles;
     now_ += cycles;

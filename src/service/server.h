@@ -28,7 +28,7 @@
  * runtimes; a whole-cache persistAll() checkpoint retires the ring.
  * On an injected mid-batch crash the server rewinds NVM to the
  * persisted image and replays the retained window *in order* through
- * lpValidateAndRecover() — later batches' stray persisted lines can
+ * persistRecover() — later batches' stray persisted lines can
  * flag an earlier batch's blocks, but in-order replay reconverges to
  * the acknowledged state. Search batches are never replayed (no
  * durable effect); a crashed search batch is re-executed against the

@@ -514,15 +514,12 @@ TEST(AnalysisTest, CrashLatchAbortsAndRecoversUnderSeededRandom)
             dev.launch(launch, [&](ThreadCtx &t) { w->kernel(t, &ctx); });
         EXPECT_TRUE(r.crashed) << "seed " << seed;
         nvm.crash();
-        RecoveryReport rep = lpValidateAndRecover(
-            dev, launch, ctx,
+        RecoveryReport rep = persistRecover(
+            dev, launch, *ctx.strategy,
             [&](ThreadCtx &t, RecoverySet &failed) {
                 w->validation(t, ctx, failed);
             },
-            [&](ThreadCtx &t, const RecoverySet &failed) {
-                if (failed.isFailedHost(t.blockRank()))
-                    w->kernel(t, &ctx);
-            });
+            [&](ThreadCtx &t) { w->kernel(t, &ctx); });
         EXPECT_TRUE(rep.converged) << "seed " << seed;
         std::string why;
         EXPECT_TRUE(w->verify(&why)) << "seed " << seed << ": " << why;

@@ -656,8 +656,8 @@ TEST_P(CrashRecoveryEndToEnd, RecoversExactOutputAfterInjectedCrash)
     nvm.crash();
 
     // Validate + recover.
-    RecoveryReport report = lpValidateAndRecover(
-        dev, cfg, ctx,
+    RecoveryReport report = persistRecover(
+        dev, cfg, *ctx.strategy,
         [&](ThreadCtx &t, RecoverySet &failed) {
             ChecksumAccum acc = ctx.makeAccum();
             acc.protectFloat(t, t.load(out, t.globalThreadIdx()));
@@ -665,11 +665,7 @@ TEST_P(CrashRecoveryEndToEnd, RecoversExactOutputAfterInjectedCrash)
             if (t.flatThreadIdx() == 0 && !ok)
                 failed.markFailed(t, t.blockRank());
         },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (!failed.isFailedHost(t.blockRank()))
-                return;
-            kernel(t);
-        });
+        [&](ThreadCtx &t) { kernel(t); });
 
     EXPECT_EQ(report.blocks_checked, cfg.numBlocks());
     if (r.crashed) {

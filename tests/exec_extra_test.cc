@@ -2,12 +2,13 @@
  * @file
  * Additional simulator-API coverage: 64-bit atomics, float atomics,
  * atomicMax, signed/64-bit shuffles, stall charging, deadlock
- * detection, shared-memory exhaustion, and the fused dual-checksum
- * reduction extension.
+ * detection, shared-memory exhaustion, the recovery set's block-range
+ * check, and the fused dual-checksum reduction extension.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/recovery.h"
 #include "core/reduce.h"
 #include "sim/device.h"
 
@@ -144,6 +145,18 @@ TEST(ExecExtraDeathTest, SharedMemoryExhaustionPanics)
             });
         },
         "shared memory exhausted");
+}
+
+TEST(ExecExtraDeathTest, RecoverySetHostReadOutOfRangePanics)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            Device dev;
+            RecoverySet failed(dev, 4);
+            (void)failed.isFailedHost(4);
+        },
+        "block 4 out of range");
 }
 
 TEST(ExecExtraTest, FusedReductionMatchesTwoShuffleReduction)

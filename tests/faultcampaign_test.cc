@@ -294,5 +294,131 @@ TEST(FaultCampaign, DeterministicForAFixedSeed)
     }
 }
 
+/** One pinned trial: what the campaign reports for a crash point. */
+struct PinnedTrial {
+    uint64_t crash_point, torn_lines, corrupt_blocks, flagged_blocks;
+    uint64_t true_fails, false_fails, false_passes, blocks_recovered;
+    uint64_t rounds;
+    Cycles validate_cycles, recover_cycles;
+};
+
+struct PinnedCell {
+    PersistModel model;
+    std::vector<PinnedTrial> trials;
+};
+
+/**
+ * One spmv cell per persistency model through the shared recovery
+ * driver, pinned trial by trial at 1 worker (results at more workers
+ * can differ through the crash latch's host order). Lazy validates
+ * with a kernel, so only its validate_cycles are nonzero.
+ */
+TEST(FaultCampaign, RecoveryPinnedPerModelAtOneWorker)
+{
+    const std::vector<PinnedCell> expected = {
+    {PersistModel::Lazy,
+     {
+      {57, 1, 6, 6, 6, 0, 0, 6, 2, 178, 2426},
+      {114, 2, 5, 5, 5, 0, 0, 5, 2, 178, 2426},
+      {134, 3, 5, 5, 5, 0, 0, 5, 2, 178, 2426},
+      {171, 2, 4, 4, 4, 0, 0, 4, 2, 178, 2426},
+      {228, 1, 3, 3, 3, 0, 0, 3, 2, 178, 2426},
+      {285, 1, 2, 2, 2, 0, 0, 2, 2, 178, 2426},
+      {312, 2, 2, 2, 2, 0, 0, 2, 2, 178, 2426},
+      {326, 1, 2, 2, 2, 0, 0, 2, 2, 178, 2426},
+      {342, 4, 2, 2, 2, 0, 0, 2, 2, 178, 2426},
+      {372, 2, 1, 1, 1, 0, 0, 1, 2, 178, 2366}}},
+    {PersistModel::Eager,
+     {
+      {220, 0, 6, 6, 6, 0, 0, 6, 2, 0, 4351},
+      {352, 0, 5, 5, 5, 0, 0, 5, 2, 0, 4351},
+      {369, 0, 5, 5, 5, 0, 0, 5, 2, 0, 4351},
+      {440, 0, 5, 5, 5, 0, 0, 5, 2, 0, 4351},
+      {660, 1, 4, 4, 4, 0, 0, 4, 2, 0, 4351},
+      {782, 0, 3, 3, 3, 0, 0, 3, 2, 0, 4351},
+      {880, 1, 3, 3, 3, 0, 0, 3, 2, 0, 4351},
+      {1100, 0, 2, 2, 2, 0, 0, 2, 2, 0, 4351},
+      {1320, 0, 1, 1, 1, 0, 0, 1, 2, 0, 4291},
+      {1420, 0, 1, 1, 1, 0, 0, 1, 2, 0, 4291}}},
+    {PersistModel::Strict,
+     {
+      {33, 0, 6, 6, 6, 0, 0, 6, 2, 0, 3671},
+      {55, 0, 6, 6, 6, 0, 0, 6, 2, 0, 3671},
+      {107, 0, 5, 5, 5, 0, 0, 5, 2, 0, 3671},
+      {110, 0, 5, 5, 5, 0, 0, 5, 2, 0, 3671},
+      {166, 0, 4, 4, 4, 0, 0, 4, 2, 0, 3671},
+      {221, 0, 3, 3, 3, 0, 0, 3, 2, 0, 3671},
+      {253, 0, 3, 3, 3, 0, 0, 3, 2, 0, 3671},
+      {277, 0, 2, 2, 2, 0, 0, 2, 2, 0, 3671},
+      {332, 0, 1, 1, 1, 0, 0, 1, 2, 0, 3611},
+      {352, 0, 1, 1, 1, 0, 0, 1, 2, 0, 3611}}},
+    {PersistModel::EpochBlock,
+     {
+      {55, 0, 6, 6, 6, 0, 0, 6, 2, 0, 3671},
+      {95, 0, 5, 5, 5, 0, 0, 5, 2, 0, 3671},
+      {110, 0, 5, 5, 5, 0, 0, 5, 2, 0, 3671},
+      {166, 0, 4, 4, 4, 0, 0, 4, 2, 0, 3671},
+      {221, 0, 3, 3, 3, 0, 0, 3, 2, 0, 3671},
+      {277, 0, 2, 2, 2, 0, 0, 2, 2, 0, 3671},
+      {280, 0, 2, 2, 2, 0, 0, 2, 2, 0, 3671},
+      {307, 0, 2, 2, 2, 0, 0, 2, 2, 0, 3671},
+      {332, 0, 1, 1, 1, 0, 0, 1, 2, 0, 3611},
+      {371, 0, 1, 1, 1, 0, 0, 1, 2, 0, 3611}}},
+    {PersistModel::EpochKernel,
+     {
+      {22, 0, 6, 6, 6, 0, 0, 6, 2, 0, 2351},
+      {55, 0, 6, 6, 6, 0, 0, 6, 2, 0, 2351},
+      {110, 0, 5, 5, 5, 0, 0, 5, 2, 0, 2351},
+      {166, 0, 4, 4, 4, 0, 0, 4, 2, 0, 2351},
+      {205, 0, 3, 3, 3, 0, 0, 3, 2, 0, 2351},
+      {209, 0, 3, 3, 3, 0, 0, 3, 2, 0, 2351},
+      {221, 0, 3, 3, 3, 0, 0, 3, 2, 0, 2351},
+      {277, 0, 2, 2, 2, 0, 0, 2, 2, 0, 2351},
+      {332, 0, 1, 1, 1, 0, 0, 1, 2, 0, 2291},
+      {360, 0, 1, 1, 1, 0, 0, 1, 2, 0, 2291}}},
+    };
+
+    CampaignOptions opts;
+    opts.scale = 0.004;
+    opts.seed = 2024;
+    opts.grid_points = 6;
+    opts.random_points = 4;
+    opts.num_workers = 1;
+    opts.workloads = {"spmv"};
+    opts.tables = {TableKind::GlobalArray};
+    opts.models = {PersistModel::Lazy, PersistModel::Eager,
+                   PersistModel::Strict, PersistModel::EpochBlock,
+                   PersistModel::EpochKernel};
+
+    CampaignResult result = runFaultCampaign(opts);
+    EXPECT_TRUE(result.passed());
+    ASSERT_EQ(result.cells.size(), expected.size());
+    for (size_t c = 0; c < expected.size(); ++c) {
+        const CellResult &cell = result.cells[c];
+        SCOPED_TRACE(toString(cell.model));
+        ASSERT_EQ(cell.model, expected[c].model);
+        ASSERT_EQ(cell.trials.size(), expected[c].trials.size());
+        for (size_t i = 0; i < cell.trials.size(); ++i) {
+            const TrialResult &t = cell.trials[i];
+            const PinnedTrial &e = expected[c].trials[i];
+            SCOPED_TRACE(e.crash_point);
+            EXPECT_EQ(t.crash_point, e.crash_point);
+            EXPECT_EQ(t.torn_lines, e.torn_lines);
+            EXPECT_EQ(t.corrupt_blocks, e.corrupt_blocks);
+            EXPECT_EQ(t.flagged_blocks, e.flagged_blocks);
+            EXPECT_EQ(t.true_fails, e.true_fails);
+            EXPECT_EQ(t.false_fails, e.false_fails);
+            EXPECT_EQ(t.false_passes, e.false_passes);
+            EXPECT_EQ(t.blocks_recovered, e.blocks_recovered);
+            EXPECT_EQ(t.recovery_rounds, e.rounds);
+            EXPECT_EQ(t.validate_cycles, e.validate_cycles);
+            EXPECT_EQ(t.recover_cycles, e.recover_cycles);
+            EXPECT_TRUE(t.converged);
+            EXPECT_TRUE(t.output_matches_golden);
+            EXPECT_TRUE(t.verify_ok);
+        }
+    }
+}
+
 } // namespace
 } // namespace gpulp

@@ -231,15 +231,12 @@ TEST(MegaKvTest, CrashRecoveryMakesInsertBatchDurable)
     EXPECT_TRUE(r.crashed);
     nvm.crash();
 
-    lpValidateAndRecover(
-        dev, kv.launchConfig(), ctx,
+    persistRecover(
+        dev, kv.launchConfig(), *ctx.strategy,
         [&](ThreadCtx &t, RecoverySet &failed) {
             kv.validateInserts(t, ctx, failed);
         },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                kv.insertKernel(t, &ctx);
-        });
+        [&](ThreadCtx &t) { kv.insertKernel(t, &ctx); });
 
     nvm.crash(); // recovery persisted everything
     for (const auto &[key, value] : pairs) {

@@ -132,15 +132,12 @@ TEST_P(EveryWorkload, CrashRecoveryRestoresExactResult)
     EXPECT_TRUE(r.crashed);
     nvm.crash();
 
-    RecoveryReport report = lpValidateAndRecover(
-        dev, w->launchConfig(), ctx,
+    RecoveryReport report = persistRecover(
+        dev, w->launchConfig(), *ctx.strategy,
         [&](ThreadCtx &t, RecoverySet &failed) {
             w->validation(t, ctx, failed);
         },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                w->kernel(t, &ctx);
-        });
+        [&](ThreadCtx &t) { w->kernel(t, &ctx); });
     EXPECT_GT(report.blocks_failed, 0u);
 
     std::string why;
