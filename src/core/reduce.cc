@@ -2,37 +2,51 @@
 
 namespace gpulp {
 
-Checksums
-warpReduceChecksums(ThreadCtx &t, Checksums local, ChecksumKind kind)
-{
-    const bool use_sum = kind != ChecksumKind::Parity;
-    const bool use_parity = kind != ChecksumKind::Modular;
-    const uint32_t live = t.warpLiveLanes();
-    const uint32_t lane = t.laneId();
+namespace {
 
-    for (uint32_t offset = kWarpSize / 2; offset > 0; offset /= 2) {
-        if (use_sum) {
-            uint32_t got = t.shflDown(local.sum, offset);
-            if (lane + offset < live) {
-                local.sum += got;
-                t.compute(1);
-            }
-        }
-        if (use_parity) {
-            uint32_t got = t.shflDown(local.parity, offset);
-            if (lane + offset < live) {
-                local.parity ^= got;
-                t.compute(1);
-            }
-        }
-    }
-    return local;
+uint64_t
+foldSum(uint64_t mine, uint64_t got)
+{
+    Checksums cs = unpackChecksums(mine);
+    cs.sum += unpackChecksums(got).sum;
+    return packChecksums(cs);
 }
 
-Checksums
-blockReduceParallel(ThreadCtx &t, Checksums local, ChecksumKind kind)
+uint64_t
+foldParity(uint64_t mine, uint64_t got)
 {
-    Checksums warp_sum = warpReduceChecksums(t, local, kind);
+    Checksums cs = unpackChecksums(mine);
+    cs.parity ^= unpackChecksums(got).parity;
+    return packChecksums(cs);
+}
+
+uint64_t
+foldBoth(uint64_t mine, uint64_t got)
+{
+    Checksums cs = unpackChecksums(mine);
+    cs.merge(unpackChecksums(got));
+    return packChecksums(cs);
+}
+
+/** Warp reduction with both checksums packed in one 64-bit shuffle. */
+Checksums
+warpReduceFused(ThreadCtx &t, Checksums local)
+{
+    return unpackChecksums(t.warpReduce(packChecksums(local), foldBoth,
+                                        /*shuffles_per_step=*/1,
+                                        /*ops_per_shuffle=*/2));
+}
+
+/**
+ * Listing 3's two stages around @p warp_reduce: every warp reduces,
+ * warp leaders park their results in shared memory, and warp 0
+ * reduces the parked values.
+ */
+template <typename WarpReduceFn>
+Checksums
+blockReduceTwoStage(ThreadCtx &t, Checksums local, WarpReduceFn warp_reduce)
+{
+    Checksums warp_sum = warp_reduce(local);
 
     auto parked =
         t.sharedArray<uint64_t>(kLpReduceSharedSlot, kWarpSize);
@@ -45,7 +59,7 @@ blockReduceParallel(ThreadCtx &t, Checksums local, ChecksumKind kind)
         Checksums mine = t.laneId() < t.numWarps()
                              ? unpackChecksums(parked.get(t.laneId()))
                              : Checksums{};
-        result = warpReduceChecksums(t, mine, kind);
+        result = warp_reduce(mine);
     }
     // Second barrier so a subsequent region in the same kernel can
     // safely reuse the parked slot.
@@ -53,49 +67,34 @@ blockReduceParallel(ThreadCtx &t, Checksums local, ChecksumKind kind)
     return result;
 }
 
-namespace {
+} // namespace
 
-/** Warp reduction with both checksums packed in one 64-bit shuffle. */
 Checksums
-warpReduceFused(ThreadCtx &t, Checksums local)
+warpReduceChecksums(ThreadCtx &t, Checksums local, ChecksumKind kind)
 {
-    const uint32_t live = t.warpLiveLanes();
-    const uint32_t lane = t.laneId();
-    uint64_t packed = packChecksums(local);
-    for (uint32_t offset = kWarpSize / 2; offset > 0; offset /= 2) {
-        uint64_t got = t.shflDown64(packed, offset);
-        if (lane + offset < live) {
-            Checksums mine = unpackChecksums(packed);
-            mine.merge(unpackChecksums(got));
-            packed = packChecksums(mine);
-            t.compute(2);
-        }
-    }
-    return unpackChecksums(packed);
+    // One shuffle per step per active checksum, each followed by one
+    // ALU op on a folding lane.
+    WarpFold fold = kind == ChecksumKind::Modular  ? foldSum
+                    : kind == ChecksumKind::Parity ? foldParity
+                                                   : foldBoth;
+    uint32_t shuffles = kind == ChecksumKind::ModularParity ? 2 : 1;
+    return unpackChecksums(t.warpReduce(packChecksums(local), fold,
+                                        shuffles, /*ops_per_shuffle=*/1));
 }
 
-} // namespace
+Checksums
+blockReduceParallel(ThreadCtx &t, Checksums local, ChecksumKind kind)
+{
+    return blockReduceTwoStage(t, local, [&](Checksums cs) {
+        return warpReduceChecksums(t, cs, kind);
+    });
+}
 
 Checksums
 blockReduceParallelFused(ThreadCtx &t, Checksums local)
 {
-    Checksums warp_sum = warpReduceFused(t, local);
-
-    auto parked =
-        t.sharedArray<uint64_t>(kLpReduceSharedSlot, kWarpSize);
-    if (t.laneId() == 0)
-        parked.set(t.warpId(), packChecksums(warp_sum));
-    t.syncthreads();
-
-    Checksums result{};
-    if (t.warpId() == 0) {
-        Checksums mine = t.laneId() < t.numWarps()
-                             ? unpackChecksums(parked.get(t.laneId()))
-                             : Checksums{};
-        result = warpReduceFused(t, mine);
-    }
-    t.syncthreads();
-    return result;
+    return blockReduceTwoStage(
+        t, local, [&](Checksums cs) { return warpReduceFused(t, cs); });
 }
 
 Checksums

@@ -17,6 +17,12 @@
  *
  * Both produce the same value because modular and parity checksums are
  * commutative and associative.
+ *
+ * The warp stages run as one ThreadCtx::warpReduce collective: the
+ * simulated cost per step (shuffle latency after the slowest lane,
+ * plus the fold's ALU ops on each folding lane) and sim.shuffles are
+ * those of the step-by-step shfl_down loop, but the host does one
+ * rendezvous per warp reduction instead of one per exchange.
  */
 
 #ifndef GPULP_CORE_REDUCE_H

@@ -34,7 +34,10 @@
  *
  * A campaign passes iff every trial converged with zero false-passes
  * and a byte-identical durable output. runFaultCampaign() is
- * deterministic for a fixed (options, workers) pair.
+ * deterministic for fixed options at 1 worker. With more workers the
+ * NVM cache and the crash latch still see stores in host order, so a
+ * trial can differ between runs; ROADMAP open item 1 ("NVM in rank
+ * order") is what makes a campaign deterministic at any worker count.
  */
 
 #ifndef GPULP_HARNESS_FAULTCAMPAIGN_H

@@ -1,6 +1,7 @@
 #include "exec.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/floatbits.h"
 #include "fiber/fiber.h"
@@ -279,20 +280,71 @@ BlockState::maybeReleaseWarp(WarpState &w, uint32_t releaser)
         return;
     SchedEvent ev =
         warpEvent(static_cast<uint32_t>(&w - warps_.data()));
-    // Snapshot per-lane results so the next collective may reuse buf
-    // before every lane has consumed this round.
-    for (uint32_t lane = 0; lane < w.lanes; ++lane) {
-        uint32_t src = lane + w.delta;
-        bool in_range = w.delta > 0 && src < kWarpSize &&
-                        (w.deposited & (1u << src));
-        w.result[lane] = in_range ? w.buf[src] : w.buf[lane];
-    }
-    w.release_cycle = w.max_arrival + timing_.params().shuffle_cycles;
+    // Results and cycles go to per-lane slots, so the next collective
+    // may reuse buf before every lane has consumed this round.
+    if (w.round.kind == WarpRoundKind::Shuffle)
+        releaseShuffle(w);
+    else
+        releaseReduce(w);
     w.arrived = 0;
     w.max_arrival = 0;
     w.deposited = 0;
     ++w.generation;
     wakeWarp(w, ev, releaser);
+}
+
+void
+BlockState::releaseShuffle(WarpState &w) const
+{
+    const uint32_t delta = w.round.delta;
+    const Cycles release =
+        w.max_arrival + timing_.params().shuffle_cycles;
+    for (uint32_t lane = 0; lane < w.lanes; ++lane) {
+        uint32_t src = lane + delta;
+        bool in_range = delta > 0 && src < kWarpSize &&
+                        (w.deposited & (1u << src));
+        w.result[lane] = in_range ? w.buf[src] : w.buf[lane];
+        w.done[lane] = release;
+    }
+}
+
+void
+BlockState::releaseReduce(WarpState &w) const
+{
+    const TimingParams &p = timing_.params();
+    const WarpRound &r = w.round;
+    const Cycles fold_cycles = r.ops_per_shuffle * p.compute_cycles;
+    std::array<uint64_t, kWarpSize> &v = w.result;
+    v = w.buf;
+    // Every participant's counter is at most `latest`, and each
+    // exchange releases at the latest counter plus the shuffle latency,
+    // so tracking the maximum alone reproduces the loop's timing.
+    Cycles latest = w.max_arrival;
+    Cycles release = 0;
+    uint32_t folding = 0;
+    for (uint32_t offset = kWarpSize / 2; offset > 0; offset /= 2) {
+        // Lanes fold in ascending order, so v[src] (src > lane) still
+        // holds the previous step's value, as if every lane exchanged
+        // at once.
+        folding = 0;
+        for (uint32_t lane = 0; lane < w.lanes; ++lane) {
+            if (!(w.deposited & (1u << lane)) ||
+                lane + offset >= w.live_seen[lane])
+                continue;
+            uint32_t src = lane + offset;
+            bool present =
+                src < kWarpSize && (w.deposited & (1u << src));
+            v[lane] = r.fold(v[lane], present ? v[src] : v[lane]);
+            folding |= 1u << lane;
+        }
+        for (uint32_t s = 0; s < r.shuffles_per_step; ++s) {
+            release = latest + p.shuffle_cycles;
+            latest = release + (folding != 0 ? fold_cycles : 0);
+        }
+    }
+    for (uint32_t lane = 0; lane < w.lanes; ++lane)
+        w.done[lane] =
+            release + ((folding & (1u << lane)) ? fold_cycles : 0);
 }
 
 // ---------------------------------------------------------------------
@@ -447,26 +499,47 @@ ThreadCtx::syncthreads()
     cycles_ = b.bar_release_cycle_;
 }
 
+namespace {
+
+/** Human-readable form of a warp round, for divergence panics. */
+std::string
+describe(const WarpRound &r)
+{
+    if (r.kind == WarpRoundKind::Shuffle)
+        return detail::formatString("shflDown(delta %u)", r.delta);
+    return detail::formatString(
+        "warpReduce(fold %p, %u shuffles/step, %u ops/shuffle)",
+        reinterpret_cast<const void *>(r.fold), r.shuffles_per_step,
+        r.ops_per_shuffle);
+}
+
+} // namespace
+
 uint64_t
-ThreadCtx::shflDownRaw(uint64_t value, uint32_t delta)
+ThreadCtx::warpCollective(const WarpRound &round, uint64_t value)
 {
     BlockState &b = block_;
     b.checkCrash();
-    obs::add(obs::Ctr::SimShuffles);
+    obs::add(obs::Ctr::SimShuffles,
+             round.kind == WarpRoundKind::Shuffle
+                 ? 1
+                 : uint64_t{round.shuffles_per_step} * kWarpTreeSteps);
     WarpState &w = b.warps_[warpId()];
     uint32_t lane = laneId();
     uint64_t gen = w.generation;
 
     if (w.arrived == 0)
-        w.delta = delta;
-    else
-        GPULP_ASSERT(w.delta == delta,
-                     "divergent shuffle deltas within a warp (%u vs %u)",
-                     w.delta, delta);
+        w.round = round;
+    else if (w.round != round)
+        GPULP_PANIC("divergent collectives in warp %u: lane %u called "
+                    "%s while the warp's round is %s",
+                    warpId(), lane, describe(round).c_str(),
+                    describe(w.round).c_str());
     GPULP_ASSERT((w.deposited & (1u << lane)) == 0,
-                 "lane %u deposited twice in one shuffle round", lane);
+                 "lane %u deposited twice in one warp round", lane);
 
     w.buf[lane] = value;
+    w.live_seen[lane] = w.live;
     w.deposited |= 1u << lane;
     w.max_arrival = std::max(w.max_arrival, cycles_);
     ++w.arrived;
@@ -475,8 +548,27 @@ ThreadCtx::shflDownRaw(uint64_t value, uint32_t delta)
         b.parkOnWarp(w, flat_tid_);
         b.checkCrash();
     }
-    cycles_ = w.release_cycle;
+    cycles_ = w.done[lane];
     return w.result[lane];
+}
+
+uint64_t
+ThreadCtx::warpReduce(uint64_t value, WarpFold fold,
+                      uint32_t shuffles_per_step, uint32_t ops_per_shuffle)
+{
+    GPULP_ASSERT(fold != nullptr && shuffles_per_step > 0,
+                 "warpReduce needs a fold and at least one shuffle per "
+                 "step");
+    return warpCollective(
+        WarpRound{WarpRoundKind::Reduce, 0, fold, shuffles_per_step,
+                  ops_per_shuffle},
+        value);
+}
+
+uint64_t
+ThreadCtx::shflDownRaw(uint64_t value, uint32_t delta)
+{
+    return warpCollective(WarpRound{WarpRoundKind::Shuffle, delta}, value);
 }
 
 uint32_t

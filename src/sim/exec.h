@@ -6,18 +6,27 @@
  *
  * Execution model: every thread of a block runs on its own fiber,
  * scheduled event-driven. Fibers suspend only inside collectives
- * (__syncthreads, warp shuffles) — the points where SIMT hardware
- * requires convergence — by parking on a wait list keyed to the event
- * that will satisfy them (barrier generation, per-warp collective
- * generation). Waiting for rank-gate leadership is not a suspension:
- * the fiber blocks its worker in place, so it never changes the resume
- * order. Releasing an event moves its waiters back to the ready set; a
- * parked fiber is never resumed just to re-poll. The runner resumes
- * ready fibers in cyclic flat-tid order, which reproduces the retired
- * poll-everything loop's interleaving exactly (minus the no-op
- * resumes), so results stay bit-identical at any worker count. All
- * other device operations are non-blocking and charge the thread's
- * cycle counter.
+ * (__syncthreads, warp shuffles, warp reductions) — the points where
+ * SIMT hardware requires convergence — by parking on a wait list keyed
+ * to the event that will satisfy them (barrier generation, per-warp
+ * collective generation). Waiting for rank-gate leadership is not a
+ * suspension: the fiber blocks its worker in place, so it never
+ * changes the resume order. Releasing an event moves its waiters back
+ * to the ready set; a parked fiber is never resumed just to re-poll.
+ * The runner resumes ready fibers in cyclic flat-tid order, which
+ * reproduces the retired poll-everything loop's interleaving exactly
+ * (minus the no-op resumes), so results stay bit-identical at any
+ * worker count. All other device operations are non-blocking and
+ * charge the thread's cycle counter.
+ *
+ * Warp collectives come in two shapes. shflDown is one exchange: each
+ * lane deposits, parks, and is resumed when the last lane arrives.
+ * warpReduce is a whole log2(32)-step shfl_down tree in one round:
+ * each lane deposits and parks once, and the last lane to arrive runs
+ * every step for every lane, charging exactly the cycles the
+ * step-by-step shuffle loop would. Between tree steps the lanes touch
+ * no memory, so the dropped park points were interleavings nothing
+ * could observe.
  *
  * Timing: each thread carries a block-local cycle counter starting at
  * 0; the launch shifts it to the block's SM start cycle at commit.
@@ -57,6 +66,38 @@ class ThreadCtx;
  */
 using OrderedRegions = std::vector<std::pair<Addr, Addr>>;
 
+/** Steps of a warp-wide shfl_down tree: offsets 16, 8, 4, 2, 1. */
+constexpr uint32_t kWarpTreeSteps = std::countr_zero(kWarpSize);
+
+/**
+ * Combine a lane's value with the one shuffled down to it, for
+ * ThreadCtx::warpReduce. A plain function pointer, so the lanes of one
+ * warp can be checked to pass the same fold.
+ */
+using WarpFold = uint64_t (*)(uint64_t mine, uint64_t got);
+
+/** Which collective a warp round is. */
+enum class WarpRoundKind : uint8_t {
+    Shuffle, //!< shflDown: one exchange at offset `delta`
+    Reduce,  //!< warpReduce: the whole shfl_down tree
+};
+
+/**
+ * The call every lane of one warp round must agree on. Lanes that
+ * disagree have diverged, which the simulator reports rather than
+ * pairing them silently.
+ */
+struct WarpRound {
+    WarpRoundKind kind = WarpRoundKind::Shuffle;
+    uint32_t delta = 0;             //!< shuffle offset (Shuffle)
+    WarpFold fold = nullptr;        //!< combine (Reduce)
+    uint32_t shuffles_per_step = 0; //!< exchanges per tree step (Reduce)
+    uint32_t ops_per_shuffle = 0;   //!< ALU ops a folding lane charges
+                                    //!< per exchange (Reduce)
+
+    bool operator==(const WarpRound &) const = default;
+};
+
 /** Collective-exchange state for one warp. */
 struct WarpState {
     uint32_t lanes = 0;          //!< lanes this warp started with
@@ -64,11 +105,14 @@ struct WarpState {
     uint32_t arrived = 0;        //!< lanes at the current collective
     uint64_t generation = 0;     //!< bumps when a collective releases
     Cycles max_arrival = 0;      //!< latest arrival cycle this round
-    Cycles release_cycle = 0;    //!< cycle at which the round released
-    uint32_t delta = 0;          //!< shuffle offset this round
+    WarpRound round;             //!< what this round's lanes called
     uint32_t deposited = 0;      //!< bitmask of lanes that deposited
-    std::array<uint64_t, kWarpSize> buf{};    //!< deposited lane values
-    std::array<uint64_t, kWarpSize> result{}; //!< per-lane results
+    std::array<uint64_t, kWarpSize> buf{};       //!< deposited values
+    std::array<uint32_t, kWarpSize> live_seen{}; //!< live lanes each
+                                                 //!< lane saw (Reduce)
+    std::array<uint64_t, kWarpSize> result{};    //!< per-lane results
+    std::array<Cycles, kWarpSize> done{};        //!< per-lane cycle
+                                                 //!< counter on release
 
     /**
      * Flat tids parked on this round, as bits positioned within the
@@ -408,6 +452,15 @@ class BlockState
      */
     void maybeReleaseWarp(WarpState &w, uint32_t releaser);
 
+    /** Compute a Shuffle round's per-lane results and cycles. */
+    void releaseShuffle(WarpState &w) const;
+
+    /**
+     * Compute a Reduce round's per-lane results and cycles: every step
+     * of the shfl_down tree, charged as the step-by-step loop would.
+     */
+    void releaseReduce(WarpState &w) const;
+
     /** Park the running fiber @p tid on @p waiters (event @p ev for
      *  the policy hook) and yield. */
     void parkOn(WaitSet &waiters, uint32_t tid, SchedEvent ev);
@@ -727,10 +780,37 @@ class ThreadCtx
     /** shflDown for uint64_t. */
     uint64_t shflDown64(uint64_t value, uint32_t delta);
 
+    /**
+     * A whole warp-wide shfl_down tree reduction (offsets 16 down to
+     * 1) in one collective round: the lane parks once, not once per
+     * exchange. At each step a lane whose source lane (laneId() +
+     * offset) is below the live-lane count it saw on entry folds that
+     * lane's value into its own with @p fold; a source lane that has
+     * exited contributes the lane's own value, as in shflDown. The
+     * full reduction is valid on lane 0; other lanes receive partial
+     * values. All live lanes of the warp must call it with the same
+     * arguments.
+     *
+     * Cost is exactly that of the step-by-step loop issuing
+     * @p shuffles_per_step shflDowns per step, each followed on a
+     * folding lane by compute(@p ops_per_shuffle). The exchanges of
+     * one step carry disjoint parts of the value, so @p fold runs once
+     * per step; sim.shuffles counts every exchange.
+     */
+    uint64_t warpReduce(uint64_t value, WarpFold fold,
+                        uint32_t shuffles_per_step,
+                        uint32_t ops_per_shuffle);
+
   private:
     friend class BlockState;
     template <typename U>
     friend class SharedRef;
+
+    /**
+     * Deposit @p value into this warp's round of @p round, park until
+     * the round releases, and return this lane's result.
+     */
+    uint64_t warpCollective(const WarpRound &round, uint64_t value);
 
     /** Common implementation for all shuffle widths (64-bit payload). */
     uint64_t shflDownRaw(uint64_t value, uint32_t delta);

@@ -40,7 +40,7 @@ class ReadySet;
 /** The event classes a fiber can park on / be woken by. */
 enum class SchedEventKind : uint8_t {
     Barrier,        //!< __syncthreads generation
-    WarpCollective, //!< one warp shuffle round
+    WarpCollective, //!< one warp collective round (shuffle or reduction)
 };
 
 /**

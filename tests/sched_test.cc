@@ -9,11 +9,15 @@
  * scheduler and pin cycles, traffic and whole-arena hashes at several
  * worker counts. What *is* allowed to change — and what the storm test
  * asserts — is the host-side work: fiber switches per barrier must be
- * O(threads), not O(threads^2).
+ * O(threads), not O(threads^2). The same holds for the single-rendezvous
+ * warp reduction: it must return what the step-by-step shuffle loop
+ * returns, at the same cycles, with one resume per lane instead of one
+ * per exchange.
  */
 
 #include <atomic>
 #include <chrono>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "core/lp_config.h"
+#include "core/reduce.h"
 #include "core/runtime.h"
 #include "obs/counters.h"
 #include "sim/exec.h"
@@ -338,6 +343,343 @@ TEST(SchedTest, FirstGateArrivalKeepsOneWorkerOrder)
             EXPECT_EQ(two_workers[t], one_worker[t]) << "thread " << t;
     }
     obs::setCountersEnabled(was_enabled);
+}
+
+// ---------------------------------------------------------------------
+// Single-rendezvous warp reduction
+// ---------------------------------------------------------------------
+
+/** The shfl_down tree shapes the LP runtime folds checksums with. */
+enum class Shape { Sum, Parity, Both, Fused };
+
+const char *
+shapeName(Shape shape)
+{
+    switch (shape) {
+      case Shape::Sum: return "sum";
+      case Shape::Parity: return "parity";
+      case Shape::Both: return "both";
+      case Shape::Fused: return "fused";
+    }
+    return "?";
+}
+
+uint64_t
+foldSum(uint64_t mine, uint64_t got)
+{
+    Checksums cs = unpackChecksums(mine);
+    cs.sum += unpackChecksums(got).sum;
+    return packChecksums(cs);
+}
+
+uint64_t
+foldParity(uint64_t mine, uint64_t got)
+{
+    Checksums cs = unpackChecksums(mine);
+    cs.parity ^= unpackChecksums(got).parity;
+    return packChecksums(cs);
+}
+
+uint64_t
+foldBoth(uint64_t mine, uint64_t got)
+{
+    Checksums cs = unpackChecksums(mine);
+    cs.merge(unpackChecksums(got));
+    return packChecksums(cs);
+}
+
+/** warpReduce for @p shape, with the cost the LP runtime charges. */
+uint64_t
+warpReduceShape(ThreadCtx &t, uint64_t value, Shape shape)
+{
+    switch (shape) {
+      case Shape::Sum: return t.warpReduce(value, foldSum, 1, 1);
+      case Shape::Parity: return t.warpReduce(value, foldParity, 1, 1);
+      case Shape::Both: return t.warpReduce(value, foldBoth, 2, 1);
+      case Shape::Fused: return t.warpReduce(value, foldBoth, 1, 2);
+    }
+    return 0;
+}
+
+/**
+ * Reference: the step-by-step loop warpReduce replaced. One shflDown
+ * per active checksum per step (one packed 64-bit exchange for Fused),
+ * each followed by compute() on a lane whose source is below the live
+ * count read on entry.
+ */
+uint64_t
+referenceReduce(ThreadCtx &t, uint64_t value, Shape shape)
+{
+    const uint32_t live = t.warpLiveLanes();
+    const uint32_t lane = t.laneId();
+    Checksums cs = unpackChecksums(value);
+    for (uint32_t offset = kWarpSize / 2; offset > 0; offset /= 2) {
+        const bool in_range = lane + offset < live;
+        if (shape == Shape::Fused) {
+            uint64_t got = t.shflDown64(packChecksums(cs), offset);
+            if (in_range) {
+                cs.merge(unpackChecksums(got));
+                t.compute(2);
+            }
+            continue;
+        }
+        if (shape != Shape::Parity) {
+            uint32_t got = t.shflDown(cs.sum, offset);
+            if (in_range) {
+                cs.sum += got;
+                t.compute(1);
+            }
+        }
+        if (shape != Shape::Sum) {
+            uint32_t got = t.shflDown(cs.parity, offset);
+            if (in_range) {
+                cs.parity ^= got;
+                t.compute(1);
+            }
+        }
+    }
+    return packChecksums(cs);
+}
+
+/** Exchanges per tree step for @p shape. */
+uint32_t
+shufflesPerStep(Shape shape)
+{
+    return shape == Shape::Both ? 2 : 1;
+}
+
+/** Per-thread results and host counters of one launch. */
+struct ReduceRun {
+    std::vector<uint64_t> value;
+    std::vector<Cycles> cycles;
+    uint64_t shuffles = 0;
+    uint64_t switches = 0;
+    uint64_t barriers = 0;
+};
+
+/** A distinct, two-halved checksum pair per thread. */
+uint64_t
+laneValue(const ThreadCtx &t)
+{
+    uint64_t g = t.globalThreadIdx();
+    return packChecksums(
+        Checksums{static_cast<uint32_t>(g * 2654435761u + 17),
+                  static_cast<uint32_t>(~(g * 40503u) ^ (g << 9))});
+}
+
+/**
+ * Launch @p blocks blocks of @p threads threads. Threads in @p exits
+ * return at once; the others stall by @p skew cycles per lane (so they
+ * arrive at different cycles) and run @p body, whose result and end
+ * cycle are recorded per global thread.
+ */
+template <typename Body>
+ReduceRun
+launchReduce(uint32_t blocks, uint32_t threads,
+             const std::vector<uint32_t> &exits, Cycles skew, Body body)
+{
+    DeviceParams p;
+    // Distinct, non-unit latencies so a charge in the wrong place shows.
+    p.timing.compute_cycles = 3;
+    p.timing.shuffle_cycles = 7;
+    Device dev(p);
+    ReduceRun run;
+    run.value.assign(size_t{blocks} * threads, 0);
+    run.cycles.assign(size_t{blocks} * threads, 0);
+    obs::resetCounters();
+    dev.launch(LaunchConfig(Dim3(blocks), Dim3(threads)), [&](ThreadCtx &t) {
+        for (uint32_t e : exits)
+            if (t.flatThreadIdx() == e)
+                return;
+        t.stall(skew * t.laneId());
+        uint64_t r = body(t, laneValue(t));
+        run.value[t.globalThreadIdx()] = r;
+        run.cycles[t.globalThreadIdx()] = t.now();
+    });
+    auto snap = obs::snapshotCounters();
+    run.shuffles = snap[obs::Ctr::SimShuffles];
+    run.switches = snap[obs::Ctr::SimFiberSwitches];
+    run.barriers = snap[obs::Ctr::SimBarrierWaits];
+    return run;
+}
+
+/** The exit sets the differential tests cover (lane 0 included). */
+const std::vector<std::vector<uint32_t>> kExitSets = {
+    {},
+    {0, 7, 33},        // warp 0's lane 0 and a mid-warp lane
+    {0, 1, 31, 39},    // warp 0's last lane: an exit releases the round
+};
+
+/**
+ * warpReduce must equal the shuffle loop it replaced, lane by lane, in
+ * value and in cycle counter, for every fold shape, full and partial
+ * warps, lanes that returned first and skewed arrivals. It must count
+ * the same logical exchanges, and resume each lane once per reduction:
+ * a warp's last lane to arrive runs on without parking, unless it
+ * returned, in which case its exit releases the round.
+ */
+TEST(SchedTest, WarpReduceMatchesShuffleLoop)
+{
+    const bool was_enabled = obs::countersEnabled();
+    obs::setCountersEnabled(true);
+    constexpr uint32_t kBlocks = 3;
+    for (Shape shape : {Shape::Sum, Shape::Parity, Shape::Both, Shape::Fused}) {
+        for (uint32_t threads : {64u, 40u}) {
+            for (const auto &exits : kExitSets) {
+                for (Cycles skew : {Cycles{0}, Cycles{5}}) {
+                    SCOPED_TRACE(std::string(shapeName(shape)) + ", " +
+                                 std::to_string(threads) + " threads, " +
+                                 std::to_string(exits.size()) +
+                                 " exits, skew " + std::to_string(skew));
+                    ReduceRun ref = launchReduce(
+                        kBlocks, threads, exits, skew,
+                        [&](ThreadCtx &t, uint64_t v) {
+                            return referenceReduce(t, v, shape);
+                        });
+                    ReduceRun got = launchReduce(
+                        kBlocks, threads, exits, skew,
+                        [&](ThreadCtx &t, uint64_t v) {
+                            return warpReduceShape(t, v, shape);
+                        });
+                    for (size_t g = 0; g < ref.value.size(); ++g) {
+                        EXPECT_EQ(got.value[g], ref.value[g])
+                            << "thread " << g;
+                        EXPECT_EQ(got.cycles[g], ref.cycles[g])
+                            << "thread " << g;
+                    }
+
+                    // Per block: lanes each warp reduces, and the
+                    // resumes that reduction costs.
+                    uint64_t reducing = 0, resumes = 0;
+                    for (uint32_t base = 0; base < threads;
+                         base += kWarpSize) {
+                        uint32_t last =
+                            std::min(base + kWarpSize, threads) - 1;
+                        auto exited = [&](uint32_t tid) {
+                            for (uint32_t e : exits)
+                                if (e == tid)
+                                    return true;
+                            return false;
+                        };
+                        uint64_t lanes = 0;
+                        for (uint32_t tid = base; tid <= last; ++tid)
+                            lanes += exited(tid) ? 0 : 1;
+                        reducing += lanes;
+                        resumes += exited(last) ? lanes : lanes - 1;
+                    }
+                    EXPECT_EQ(got.shuffles, ref.shuffles);
+                    EXPECT_EQ(got.shuffles, kBlocks * reducing *
+                                                shufflesPerStep(shape) *
+                                                kWarpTreeSteps);
+                    EXPECT_EQ(got.switches,
+                              kBlocks * (threads + resumes));
+                }
+            }
+        }
+    }
+    obs::setCountersEnabled(was_enabled);
+}
+
+/**
+ * The block reductions in core/reduce.cc, now routed through
+ * warpReduce, must equal the same two-stage reduction built from the
+ * reference shuffle loop: same per-thread results and cycles, same
+ * exchanges, and at most one resume per lane per reduction on top of
+ * thread starts and barrier arrivals.
+ */
+TEST(SchedTest, BlockReductionsMatchShuffleLoop)
+{
+    const bool was_enabled = obs::countersEnabled();
+    obs::setCountersEnabled(true);
+    constexpr uint32_t kBlocks = 2;
+    for (Shape shape : {Shape::Sum, Shape::Parity, Shape::Both, Shape::Fused}) {
+        const ChecksumKind kind =
+            shape == Shape::Sum      ? ChecksumKind::Modular
+            : shape == Shape::Parity ? ChecksumKind::Parity
+                                     : ChecksumKind::ModularParity;
+        for (uint32_t threads : {256u, 40u}) {
+            for (const auto &exits : kExitSets) {
+                SCOPED_TRACE(std::string(shapeName(shape)) + ", " +
+                             std::to_string(threads) + " threads, " +
+                             std::to_string(exits.size()) + " exits");
+                // Listing 3's two stages, as reduce.cc had them.
+                auto reference = [&](ThreadCtx &t, uint64_t v) {
+                    uint64_t warp_sum = referenceReduce(t, v, shape);
+                    auto parked = t.sharedArray<uint64_t>(
+                        kLpReduceSharedSlot, kWarpSize);
+                    if (t.laneId() == 0)
+                        parked.set(t.warpId(), warp_sum);
+                    t.syncthreads();
+                    uint64_t result = 0;
+                    if (t.warpId() == 0) {
+                        uint64_t mine = t.laneId() < t.numWarps()
+                                            ? parked.get(t.laneId())
+                                            : 0;
+                        result = referenceReduce(t, mine, shape);
+                    }
+                    t.syncthreads();
+                    return result;
+                };
+                auto routed = [&](ThreadCtx &t, uint64_t v) {
+                    Checksums cs = unpackChecksums(v);
+                    return packChecksums(
+                        shape == Shape::Fused
+                            ? blockReduceParallelFused(t, cs)
+                            : blockReduceParallel(t, cs, kind));
+                };
+                ReduceRun ref =
+                    launchReduce(kBlocks, threads, exits, 3, reference);
+                ReduceRun got =
+                    launchReduce(kBlocks, threads, exits, 3, routed);
+                for (size_t g = 0; g < ref.value.size(); ++g) {
+                    EXPECT_EQ(got.value[g], ref.value[g]) << "thread " << g;
+                    EXPECT_EQ(got.cycles[g], ref.cycles[g])
+                        << "thread " << g;
+                }
+                EXPECT_EQ(got.shuffles, ref.shuffles);
+                EXPECT_EQ(got.barriers, ref.barriers);
+                const uint64_t lane_reductions =
+                    got.shuffles / (shufflesPerStep(shape) * kWarpTreeSteps);
+                EXPECT_LE(got.switches, kBlocks * threads + got.barriers +
+                                            lane_reductions);
+            }
+        }
+    }
+    obs::setCountersEnabled(was_enabled);
+}
+
+/**
+ * Lanes of one warp that call different collectives, or warpReduce
+ * with different arguments, have diverged. Pairing their deposits
+ * would return silent wrong values, so the simulator panics.
+ */
+TEST(SchedDeathTest, DivergentWarpCollectivesPanic)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    auto launch2 = [](auto body) {
+        DeviceParams p;
+        p.num_workers = 1;
+        Device dev(p);
+        dev.launch(LaunchConfig(Dim3(1), Dim3(2)), body);
+    };
+    EXPECT_DEATH(launch2([](ThreadCtx &t) {
+                     if (t.laneId() == 0)
+                         (void)t.warpReduce(1, foldSum, 1, 1);
+                     else
+                         (void)t.shflDown(1u, 16);
+                 }),
+                 "divergent collectives");
+    EXPECT_DEATH(launch2([](ThreadCtx &t) {
+                     (void)t.warpReduce(1, t.laneId() == 0 ? foldSum
+                                                           : foldParity,
+                                        1, 1);
+                 }),
+                 "divergent collectives");
+    EXPECT_DEATH(launch2([](ThreadCtx &t) {
+                     (void)t.warpReduce(1, foldBoth, 1,
+                                        t.laneId() == 0 ? 2 : 1);
+                 }),
+                 "divergent collectives");
 }
 
 } // namespace
